@@ -7,6 +7,19 @@
 //
 //   $ seq 1000000 | awk '{print 1/$1}' | ./build/examples/exact_sum_cli
 //
+// Input grammar (util::read_doubles): tokens are separated by C-locale
+// whitespace (space, \t, \n, \v, \f, \r; CRLF is fine) and each token is
+//
+//   [+|-] mantissa [(e|E) [+|-] digits]
+//   mantissa = digits [. [digits]]  |  . digits
+//
+// i.e. what `std::cin >> double` accepts: `+1.5`, `-0`, `.5`, `5.`, `1E5`,
+// `1.5e+3`. Rejected: `inf`, `nan`, hex (`0x1p3`), `1e`, `+-1`, `1,5` and
+// values that overflow a double (`1e400`); values that underflow (`1e-400`)
+// read as a signed zero. One deliberate difference from `cin`: a glued
+// token such as `1.5-2` or `1.2.3`, which `>>` would split into two values,
+// is rejected whole. Input is read in 64 KiB chunks, not all at once.
+//
 // --metrics[=FILE] additionally dumps the runtime telemetry snapshot
 // (scatter fast-path deposits, carry-chain distribution, status raises;
 // see docs/OBSERVABILITY.md) as JSON to stdout or FILE. --flight[=FILE]
@@ -23,13 +36,14 @@
 // thread takes live exact snapshots of the running total; the drained
 // result must be bit-identical (limbs + status) to the sequential sum.
 //
-// Exit status: 0 on success, 1 on parse failure, non-finite input, a
-// failed --metrics/--flight/--health FILE write, or an engine-routed
-// total that is not bit-identical to the sequential reference.
+// Exit status: 0 on success, 1 on a token outside the grammar (the
+// message names it and its 1-based position), a read error on stdin, an
+// unknown flag, a failed --metrics/--flight/--health FILE write, or an
+// engine-routed total that is not bit-identical to the sequential
+// reference.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,10 +63,15 @@
 int main(int argc, char** argv) {
   using namespace hpsum;
   std::vector<double> xs;
-  double v = 0;
-  while (std::cin >> v) xs.push_back(v);
-  if (!std::cin.eof()) {
-    std::fprintf(stderr, "exact_sum_cli: unparsable token on stdin\n");
+  if (const auto bad = util::read_doubles(stdin, xs)) {
+    if (bad->token.empty()) {
+      std::fprintf(stderr, "exact_sum_cli: read error on stdin\n");
+    } else {
+      std::fprintf(stderr,
+                   "exact_sum_cli: value %zu is not a finite decimal number: "
+                   "\"%s\"\n",
+                   bad->index, bad->token.c_str());
+    }
     return 1;
   }
 

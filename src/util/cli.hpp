@@ -1,10 +1,13 @@
-// Minimal command-line flag parsing for bench and example binaries.
+// Minimal command-line flag parsing for bench and example binaries, and
+// the text reader behind the unix-filter examples.
 //
 // Syntax: --name=value or --flag. Unknown flags are an error so typos in
 // experiment sweeps fail loudly instead of silently running the default.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
@@ -44,5 +47,30 @@ class Args {
   [[nodiscard]] std::optional<std::string> raw(std::string_view name) const;
   std::map<std::string, std::string, std::less<>> values_;
 };
+
+/// Where read_doubles() stopped before the end of its input.
+struct ReadError {
+  /// The offending token, cut to its first 40 bytes ("..." marks a cut);
+  /// empty when the stream itself failed (ferror).
+  std::string token;
+  /// 1-based position of the token among the input's tokens.
+  std::size_t index = 0;
+};
+
+/// Appends every whitespace-separated decimal number in `in` to `out`.
+///
+/// Reads in fixed 64 KiB chunks (a buffer grows only for a longer token),
+/// splits on C-locale whitespace and parses each token with
+/// std::from_chars. A token is [+|-] mantissa [(e|E) [+|-] digits], the
+/// mantissa being digits with at most one '.' and at least one digit;
+/// `inf`, `nan`, hex and overflow (1e400) are rejected, underflow (1e-400)
+/// reads as a signed zero. This is what `std::istream >> double` accepts,
+/// except that a token `>>` would split into several numbers (`1.5-2`,
+/// `1.2.3`) is rejected whole.
+///
+/// Returns std::nullopt at end of input, otherwise the first bad token; the
+/// values before it are in `out`.
+[[nodiscard]] std::optional<ReadError> read_doubles(std::FILE* in,
+                                                    std::vector<double>& out);
 
 }  // namespace hpsum::util

@@ -1,5 +1,6 @@
 #include "workload/workload.hpp"
 
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -119,7 +120,23 @@ DotProblem ill_conditioned_dot(std::size_t pairs, int spread_exp,
 
 void shuffle(std::span<double> xs, std::uint64_t seed) {
   util::Xoshiro256ss rng(seed);
-  for (std::size_t i = xs.size(); i > 1; --i) {
+  // The swap targets depend on the generator alone, never on the data, so
+  // a batch of them is drawn and prefetched ahead of its swaps: on arrays
+  // beyond cache the random accesses then overlap instead of queueing.
+  // Draws and swaps keep the plain loop's order, hence its permutation.
+  constexpr std::size_t kBatch = 32;
+  std::array<std::uint64_t, kBatch> js{};
+  std::size_t i = xs.size();
+  for (; i > kBatch; i -= kBatch) {
+    for (std::size_t k = 0; k < kBatch; ++k) {
+      js[k] = rng.bounded(i - k);
+      __builtin_prefetch(&xs[js[k]], 1);
+    }
+    for (std::size_t k = 0; k < kBatch; ++k) {
+      std::swap(xs[i - 1 - k], xs[js[k]]);
+    }
+  }
+  for (; i > 1; --i) {
     const std::uint64_t j = rng.bounded(i);
     std::swap(xs[i - 1], xs[j]);
   }

@@ -1,0 +1,30 @@
+# Runs exact_sum_cli once with stdin from a fixture and checks the outcome.
+#
+#   cmake -DCLI=<exact_sum_cli> -DINPUT=<file> -DEXPECT_RC=<status>
+#         [-DARGS=<arg;...>] [-DGOLDEN=<file>] [-DSTDERR_REGEX=<regex>]
+#         -P run_cli.cmake
+#
+# GOLDEN is compared byte for byte with stdout minus the "audit telemetry"
+# line, whose counts depend on HPSUM_TRACE and HPSUM_SIMD. A crash or an
+# abort fails the EXPECT_RC check: its result is a message, not a number.
+execute_process(
+  COMMAND ${CLI} ${ARGS}
+  INPUT_FILE ${INPUT}
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+if(NOT rc STREQUAL EXPECT_RC)
+  message(FATAL_ERROR "exit status '${rc}', expected ${EXPECT_RC}\n"
+                      "stdout:\n${out}\nstderr:\n${err}")
+endif()
+if(DEFINED GOLDEN)
+  file(READ ${GOLDEN} want)
+  string(REGEX REPLACE "audit telemetry  :[^\n]*\n" "" out "${out}")
+  if(NOT out STREQUAL want)
+    message(FATAL_ERROR "stdout differs from ${GOLDEN}\n"
+                        "got:\n${out}\nwant:\n${want}")
+  endif()
+endif()
+if(DEFINED STDERR_REGEX AND NOT err MATCHES "${STDERR_REGEX}")
+  message(FATAL_ERROR "stderr does not match '${STDERR_REGEX}':\n${err}")
+endif()

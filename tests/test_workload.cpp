@@ -7,8 +7,11 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "stats/stats.hpp"
+#include "util/prng.hpp"
 
 namespace hpsum::workload {
 namespace {
@@ -100,6 +103,30 @@ TEST(Workload, ShuffleIsDeterministicPermutation) {
   auto ys = orig;
   shuffle(ys, 1);
   EXPECT_EQ(xs, ys);  // same seed, same permutation
+}
+
+// Reference: the plain Fisher-Yates loop. shuffle() draws and prefetches
+// its swap targets in batches but must give exactly this permutation.
+void plain_fisher_yates(std::vector<double>& xs, std::uint64_t seed) {
+  util::Xoshiro256ss rng(seed);
+  for (std::size_t i = xs.size(); i > 1; --i) {
+    const std::uint64_t j = rng.bounded(i);
+    std::swap(xs[i - 1], xs[j]);
+  }
+}
+
+TEST(Workload, ShuffleMatchesPlainFisherYates) {
+  const std::size_t sizes[] = {0, 1, 2, 31, 32, 33, 1000, 100003};
+  for (const std::size_t n : sizes) {
+    for (const std::uint64_t seed : {0ull, 1ull, 42ull, 0x9E3779B97F4A7C15ull}) {
+      std::vector<double> got(n);
+      for (std::size_t i = 0; i < n; ++i) got[i] = static_cast<double>(i);
+      auto want = got;
+      shuffle(got, seed);
+      plain_fisher_yates(want, seed);
+      ASSERT_EQ(got, want) << "n=" << n << " seed=" << seed;
+    }
+  }
 }
 
 }  // namespace
