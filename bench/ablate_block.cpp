@@ -11,8 +11,11 @@
 //
 // Flags: --n (default 4M summands), --seed, --json=PATH (write the
 // BENCH_block.json schema consumed by tools/bench_smoke.py; see
-// EXPERIMENTS.md).
+// EXPERIMENTS.md), --help. The closing reading is computed from the
+// measured rows; trace builds add flushes per 1M deposits and SIMD
+// coverage per stream.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -45,15 +48,29 @@ double time_sum(const std::vector<double>& xs, bool block) {
   });
 }
 
+/// What one untimed block pass over a stream did, from the trace counters
+/// (all zero in HPSUM_TRACE=OFF builds).
+struct BlockCounts {
+  std::uint64_t deposits = 0;
+  std::uint64_t flushes = 0;
+  std::uint64_t simd_deposits = 0;
+};
+
 /// The ablation's precondition: the two paths agree bit for bit, limbs and
 /// status, on this stream. Timing a divergent fast path would be garbage.
+/// The block pass's flush and SIMD counts land in `counts`.
 template <int N, int K>
-bool paths_identical(const std::vector<double>& xs) {
+bool paths_identical(const std::vector<double>& xs, BlockCounts& counts) {
   HpFixed<N, K> scalar;
   for (const double x : xs) scalar += x;
+  const trace::Snapshot before = trace::snapshot();
   BlockAccumulator<N, K> blk;
   blk.accumulate(std::span<const double>(xs.data(), xs.size()));
   HpFixed<N, K> fast(blk);
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  counts.deposits = d.value(trace::Counter::kBlockDeposits);
+  counts.flushes = d.value(trace::Counter::kBlockNormalizes);
+  counts.simd_deposits = d.value(trace::Counter::kBlockSimdDeposits);
   return fast.limbs() == scalar.limbs() && fast.status() == scalar.status();
 }
 
@@ -61,14 +78,15 @@ struct BlockRow {
   const char* stream;
   double block_ns;
   double scalar_ns;
+  BlockCounts counts;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv,
-                        {"n", "seed", "csv", "json", bench::kMetricsFlag,
-                         bench::kFlightFlag});
+  const util::Args args = bench::parse_args(
+      argc, argv,
+      {"n", "seed", "csv", "json", bench::kMetricsFlag, bench::kFlightFlag});
   bench::arm_flight(args);
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
@@ -90,7 +108,8 @@ int main(int argc, char** argv) {
   std::vector<BlockRow> rows;
   bool all_identical = true;
   const auto row = [&](const char* label, const std::vector<double>& xs) {
-    if (!paths_identical<6, 3>(xs)) {
+    BlockCounts counts;
+    if (!paths_identical<6, 3>(xs, counts)) {
       std::fprintf(stderr,
                    "ablate_block: block path diverges from scalar on the "
                    "%s stream — refusing to time a wrong kernel\n",
@@ -102,7 +121,7 @@ int main(int argc, char** argv) {
         1e9 * time_sum<6, 3>(xs, true) / static_cast<double>(xs.size());
     const double ts =
         1e9 * time_sum<6, 3>(xs, false) / static_cast<double>(xs.size());
-    rows.push_back({label, tb, ts});
+    rows.push_back({label, tb, ts, counts});
     table.begin_row();
     table.add_cell("HP(6,3)");
     table.add_cell(label);
@@ -115,18 +134,35 @@ int main(int argc, char** argv) {
   row("mixed", mixed);
   if (!all_identical) return 1;
   bench::emit_table(table, args);
-  std::printf(
-      "\nreading: the block path wins twice over the scalar loop. It "
-      "removes the sign-dependent carry/borrow branch per summand, which "
-      "shows most on the mixed-sign stream (the paper's workload), where "
-      "the scalar path's sign branch mispredicts; and when the SIMD "
-      "deposit path is active (simd level \"%s\" here), it decomposes "
-      "kWidth summands per batch in vector lanes, which lifts the "
-      "same-sign streams — the scalar path's branch-predictor best case — "
-      "well past parity too. The mixed stream carries the primary gate; "
-      "the same-sign floor applies only to SIMD builds. Identity of limbs "
-      "and status is checked above before timing.\n",
-      kernel::simd::level_name(kernel::simd::active_level()));
+  // The reading is computed from the rows above: a stream where the block
+  // path is slower than the scalar loop is reported as a loss.
+  const char* level = kernel::simd::level_name(kernel::simd::active_level());
+  int wins = 0;
+  std::printf("\nreading (HP(6,3), simd level \"%s\"):\n", level);
+  for (const auto& r : rows) {
+    const double ratio = r.block_ns / r.scalar_ns;
+    const bool win = ratio < 1.0;
+    wins += win ? 1 : 0;
+    std::printf("  %-12s block/scalar %.3f: the block path %s (%.2fx)\n",
+                r.stream, ratio, win ? "wins" : "loses",
+                win ? 1.0 / ratio : ratio);
+  }
+  std::printf("  the block path wins on %d of %zu streams\n", wins,
+              rows.size());
+  if constexpr (trace::enabled()) {
+    for (const auto& r : rows) {
+      const double deposits = static_cast<double>(r.counts.deposits);
+      std::printf(
+          "  %-12s %.2f flushes per 1M deposits, SIMD coverage %.3f\n",
+          r.stream,
+          deposits > 0 ? 1e6 * static_cast<double>(r.counts.flushes) /
+                             deposits
+                       : 0.0,
+          deposits > 0 ? static_cast<double>(r.counts.simd_deposits) /
+                             deposits
+                       : 0.0);
+    }
+  }
 
   // --json=PATH: the BENCH_block.json schema (EXPERIMENTS.md) consumed by
   // tools/bench_smoke.py and the bench-smoke CI job.
@@ -144,8 +180,7 @@ int main(int argc, char** argv) {
                  "  \"simd\": \"%s\",\n"
                  "  \"stream_size\": %lld,\n"
                  "  \"streams\": [\n",
-                 kernel::simd::level_name(kernel::simd::active_level()),
-                 static_cast<long long>(n));
+                 level, static_cast<long long>(n));
     for (std::size_t i = 0; i < rows.size(); ++i) {
       std::fprintf(f,
                    "    {\"stream\": \"%s\", \"block_ns_per_add\": %.4f, "

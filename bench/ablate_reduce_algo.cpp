@@ -58,7 +58,7 @@ Point combine_phase(int ranks, const mpisim::Datatype& dt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"maxp", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+  const util::Args args = bench::parse_args(argc, argv, {"maxp", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
   bench::arm_flight(args);
   const auto maxp = static_cast<int>(args.get_int("maxp", 128));
   const auto trials = static_cast<int>(args.get_int("trials", 5));

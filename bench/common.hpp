@@ -8,10 +8,14 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "trace/flight.hpp"
 #include "trace/pulse.hpp"
@@ -48,6 +52,33 @@ inline constexpr const char* kFlightFlag = "flight";
 inline constexpr const char* kPulseFlag = "pulse";
 inline constexpr const char* kPulseIntervalFlag = "pulse-interval-ms";
 inline constexpr const char* kPulsePromFlag = "pulse-prom";
+
+/// Parses a harness's argv against its known-flags list without ever
+/// reaching std::terminate: `--help` prints the usage line to stdout and
+/// exits 0; an unknown or malformed flag prints the error and the usage
+/// line to stderr and exits 2. Every bench main() starts with
+/// `const util::Args args = bench::parse_args(argc, argv, {...});`.
+[[nodiscard]] inline util::Args parse_args(
+    int argc, char** argv, const std::vector<std::string>& known) {
+  const auto usage = [&](std::FILE* out) {
+    std::fprintf(out, "usage: %s", argc > 0 ? argv[0] : "bench");
+    for (const auto& flag : known) std::fprintf(out, " [--%s]", flag.c_str());
+    std::fprintf(out, " [--help]\n");
+  };
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--help") {
+      usage(stdout);
+      std::exit(0);
+    }
+  }
+  try {
+    return util::Args(argc, argv, known);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    usage(stderr);
+    std::exit(2);
+  }
+}
 
 /// Arms the flight recorder when --flight was given. Call right after
 /// argument parsing, BEFORE the measured work, so worker threads spawned

@@ -20,7 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpsum;
-  const util::Args args(argc, argv, {"pairs", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
+  const util::Args args = bench::parse_args(argc, argv, {"pairs", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
   bench::arm_flight(args);
   const auto pairs = bench::pick(args, "pairs", 100 * 1024, 1024 * 1024);
   const auto trials = static_cast<int>(args.get_int("trials", 3));

@@ -338,6 +338,25 @@ template <class FetchAdd>
   return st;
 }
 
+/// Hard cap on deposits deferred between two flushes: pending stays below
+/// it. `pending` is an int, and the cap keeps every U128 plane slot below
+/// 2^30 * 2^64 = 2^94.
+inline constexpr int kBlockMaxPending = 1 << 30;
+
+/// The deferral gate shared by block_add and the SIMD batch driver: may the
+/// planes hold `pending` deferred deposits, each of magnitude below
+/// 2^base, on top of limbs below 2^base? The true value and each plane's
+/// total then stay below (1+pending)*2^base <= 2^(base + bit_width(pending)),
+/// and the gate keeps that under the sign bit. Monotone in both arguments,
+/// and for a fixed base it changes only where bit_width(pending) does: at
+/// powers of two, the cap included.
+[[nodiscard]] constexpr bool block_may_defer(int n, int base,
+                                             int pending) noexcept {
+  return pending < kBlockMaxPending &&
+         base + static_cast<int>(std::bit_width(
+                    static_cast<unsigned>(pending))) <= 64 * n - 1;
+}
+
 /// Conservative magnitude bound of the value in `a`: the smallest e with
 /// |value| < 2^e (0 for zero; 64n for the most-negative value, whose
 /// magnitude negate cannot represent — that forces the block path into its
@@ -362,11 +381,11 @@ template <class FetchAdd>
 /// that lets block_add write the straddle word unconditionally (it only
 /// ever receives provably-zero straddles of top-limb deposits).
 ///
-/// Exactness: pending <= 64n-1 between flushes (block_add grows bound_exp
-/// by >= 1 per deferred deposit), so each U128 slot holds < 2^75 — far
-/// from wrapping — and each folded plane value is < 2^(64n-1) (the bound
-/// invariant bounds the planes' totals separately, not just their
-/// difference), so no carry is lost off the top of the fold.
+/// Exactness: pending < kBlockMaxPending = 2^30 between flushes, so each
+/// U128 slot holds < 2^94 — far from wrapping — and each folded plane value
+/// is < 2^(64n-1) (the bound invariant bounds the planes' totals
+/// separately, not just their difference), so no carry is lost off the top
+/// of the fold.
 constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
                            int& bound_exp, int& pending) noexcept {
   if (pending == 0) return;
@@ -413,19 +432,26 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
   bound_exp = block_bound_exp(a, n);
 }
 
-/// One block-path deposit of `r` into (a, pos, neg). Maintains the bound
-/// invariant: |true running value| < 2^bound_exp, where "true value" means
-/// a plus the deferred planes. Each deferred deposit updates
+/// One block-path deposit of `r` into (a, pos, neg). `bound_exp` is the
+/// base: the max of block_bound_exp(a) at the last flush and every deferred
+/// msb+1 since. The invariant is
 ///
-///   bound_exp' = max(bound_exp, msb(r)+1) + 1
+///   |a| + sum |deferred| < (1+pending) * 2^base
+///                        <= 2^(base + bit_width(pending)),
 ///
-/// (|x+y| < 2^(max+1)); while bound_exp' <= 64n-2 no prefix of the scalar
-/// deposit sequence could leave the representable range, so the scalar path
-/// would raise no kAddOverflow and the deferred status is exactly the
-/// conversion-side flags — that is the status half of the bit-identity
-/// proof. When the bound would reach the sign bit the planes are flushed
-/// and the summand takes detail::scatter_add_double verbatim, making the
+/// and a deposit is deferred only while block_may_defer(n, base', pending')
+/// holds for base' = max(base, msb(r)+1), pending' = pending+1. Then no
+/// prefix of the scalar deposit sequence could leave the representable
+/// range, so the scalar path would raise no kAddOverflow and the deferred
+/// status is exactly the conversion-side flags — that is the status half of
+/// the bit-identity proof. When the gate fails the planes are flushed and
+/// the summand takes detail::scatter_add_double verbatim, making the
 /// overflow corner bit-identical by construction (limbs and status).
+///
+/// Every state the kernel leaves behind either passed the gate or has
+/// pending == 0, so the gate is re-evaluated only when the base grows or
+/// pending' is a power of two (where bit_width steps); otherwise it holds
+/// unchanged, and the common deposit pays two compares for it.
 [[nodiscard]] constexpr HpStatus block_add(util::Limb* a, U128* pos, U128* neg,
                                            int n, int k, int& bound_exp,
                                            int& pending, double r) noexcept {
@@ -435,21 +461,25 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
     trace::count_status(d.st);
     return d.st;
   }
-  const int nb = (bound_exp > d.msb + 1 ? bound_exp : d.msb + 1) + 1;
-  if (nb > 64 * n - 1) [[unlikely]] {
-    block_flush(a, pos, neg, n, bound_exp, pending);
-    trace::count(trace::Counter::kBlockScalarFallbacks);
-    const HpStatus st = detail::scatter_add_double(a, n, k, r);
-    bound_exp = block_bound_exp(a, n);
-    return st;
+  const int m = d.msb + 1;
+  const int p1 = pending + 1;
+  if (m > bound_exp || (p1 & pending) == 0) [[unlikely]] {
+    const int base = bound_exp > m ? bound_exp : m;
+    if (!block_may_defer(n, base, p1)) {
+      block_flush(a, pos, neg, n, bound_exp, pending);
+      trace::count(trace::Counter::kBlockScalarFallbacks);
+      const HpStatus st = detail::scatter_add_double(a, n, k, r);
+      bound_exp = block_bound_exp(a, n);
+      return st;
+    }
+    bound_exp = base;
   }
-  bound_exp = nb;
   // Unconditional two-word deposit: slot li+1 is limb li, slot li is the
   // straddle limb li-1 — or the always-zero pad slot when li == 0.
   U128* plane = d.isneg ? neg : pos;
   plane[d.li + 1] += d.lo;
   plane[d.li] += d.hi;
-  ++pending;
+  pending = p1;
   trace::count_status(d.st);
   return d.st;
 }

@@ -26,10 +26,11 @@
 // most 64n-2). Such deposits raise no status flags and are deferred into
 // the planes, where addition is commutative over Z/2^(64n) — so any
 // batching order equals the scalar element-at-a-time order. The deferral
-// bound is maintained conservatively per batch
-// (max(bound_exp, max_msb+1) + kWidth >= the scalar per-element recurrence),
-// which can only force the flush + scalar fallback EARLIER than the scalar
-// path would — and the fallback is bit-identical by construction. Any batch
+// state is updated per batch to exactly what the scalar loop reaches after
+// the same elements (base max(bound_exp, max_msb+1), pending + kWidth), and
+// the shared gate kernel::block_may_defer is monotone in both, so the batch
+// path flushes and falls back at the same stream positions as the scalar
+// path — and the fallback is bit-identical by construction. Any batch
 // containing a slow lane (zero, subnormal, non-finite, sub-lsb truncation,
 // near-range, or a bound violation) is punted whole, in stream order, to
 // the scalar kernel::block_add. Limbs AND sticky status therefore match

@@ -1,6 +1,6 @@
 // hp_kernel_simd_deposit — the ISA-independent half of the vectorized block
-// deposit: the per-batch fast-lane gate, the conservative bound update, and
-// the plane scatter. The two translation units (hp_kernel_simd.cpp with GCC
+// deposit: the per-batch fast-lane gate, the bound update, and the plane
+// scatter. The two translation units (hp_kernel_simd.cpp with GCC
 // vector extensions, hp_kernel_simd_avx2.cpp with -mavx2 intrinsics) each
 // provide only a lane decomposer; everything that decides WHETHER a batch
 // may be vector-deposited — and therefore everything the bit-identity
@@ -82,23 +82,25 @@ struct Window {
 ///
 ///   1. Only all-fast batches are vector-deposited, and a fast deposit
 ///      raises no flags, so batching cannot reorder or drop status.
-///   2. The batch bound nb = max(bound, pmax+53) + kWidth dominates the
-///      scalar recurrence b' = max(b, msb+1)+1 applied to the same kWidth
-///      elements (induction: after i elements the scalar bound is at most
-///      max(b0, pmax+53) + i), so if nb fits under 64n-1 every scalar
-///      intermediate bound fits too — the scalar path would not have
-///      flushed inside this batch, and its deposits commute in the planes:
-///      the fold below hands each plane slot exactly the words the scalar
-///      loop would, just pre-summed in a register, so the plane contents
-///      (not merely their totals) are identical.
+///   2. The batch gate takes base' = max(bound, pmax+53) and
+///      pending' = pend + kWidth — exactly the state the scalar loop
+///      reaches after the same kWidth elements (its base is the running
+///      max of msb+1, its pending counts one per deposit). The gate
+///      kernel::block_may_defer is monotone in both, so if it passes for
+///      the batch it passed at every scalar intermediate too: the scalar
+///      path would not have flushed inside this batch, and its deposits
+///      commute in the planes. The fold below hands each plane slot
+///      exactly the words the scalar loop would, just pre-summed in a
+///      register, so the plane contents (not merely their totals) are
+///      identical.
 ///   3. A batch that fails the gate is punted WHOLE, element-wise, in
 ///      stream order through kernel::block_add, whose flush + scatter
-///      fallback is bit-identical by construction. The conservative bound
-///      can only make that fallback fire EARLIER than the scalar path —
-///      on the same exact partial sum, hence the same limbs and flags.
-///   4. The bound grows by kWidth per kWidth deferred deposits (>= 1 per
-///      deposit, same as scalar), preserving the pending <= 64n-1 flush
-///      exactness invariant documented at kernel::block_flush.
+///      fallback is bit-identical by construction. Since the batched state
+///      equals the scalar state at every batch boundary, the fallback
+///      fires at the same stream position as in the scalar path.
+///   4. The gate keeps pending below kBlockMaxPending and keeps
+///      base + bit_width(pending) <= 64n-1, the flush exactness invariant
+///      documented at kernel::block_flush.
 template <class DecomposeFn>
 [[nodiscard]] inline HpStatus accumulate_batches(
     util::Limb* a, U128* pos, U128* neg, int n, int k, int& bound_exp,
@@ -118,8 +120,8 @@ template <class DecomposeFn>
     LaneBatch b;
     decompose(x + i, w, b);
     if (b.all_fast) [[likely]] {
-      const int nb = (bound > b.pmax + 53 ? bound : b.pmax + 53) + kWidth;
-      if (nb <= 64 * n - 1) [[likely]] {
+      const int base = bound > b.pmax + 53 ? bound : b.pmax + 53;
+      if (kernel::block_may_defer(n, base, pend + kWidth)) [[likely]] {
         ++batches;
         if (b.uniform) [[likely]] {
           // One target limb pair: the decomposer already folded the batch
@@ -144,7 +146,7 @@ template <class DecomposeFn>
             neg[li] += b.hin[j];
           }
         }
-        bound = nb;
+        bound = base;
         pend += kWidth;
         continue;
       }

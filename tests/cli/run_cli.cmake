@@ -1,8 +1,9 @@
-# Runs exact_sum_cli once with stdin from a fixture and checks the outcome.
+# Runs a command-line program (exact_sum_cli, a bench harness) once with
+# stdin from a fixture and checks the outcome.
 #
-#   cmake -DCLI=<exact_sum_cli> -DINPUT=<file> -DEXPECT_RC=<status>
-#         [-DARGS=<arg;...>] [-DGOLDEN=<file>] [-DSTDERR_REGEX=<regex>]
-#         -P run_cli.cmake
+#   cmake -DCLI=<program> -DINPUT=<file> -DEXPECT_RC=<status>
+#         [-DARGS=<arg;...>] [-DGOLDEN=<file>] [-DSTDOUT_REGEX=<regex>]
+#         [-DSTDERR_REGEX=<regex>] -P run_cli.cmake
 #
 # GOLDEN is compared byte for byte with stdout minus the "audit telemetry"
 # line, whose counts depend on HPSUM_TRACE and HPSUM_SIMD. A crash or an
@@ -24,6 +25,9 @@ if(DEFINED GOLDEN)
     message(FATAL_ERROR "stdout differs from ${GOLDEN}\n"
                         "got:\n${out}\nwant:\n${want}")
   endif()
+endif()
+if(DEFINED STDOUT_REGEX AND NOT out MATCHES "${STDOUT_REGEX}")
+  message(FATAL_ERROR "stdout does not match '${STDOUT_REGEX}':\n${out}")
 endif()
 if(DEFINED STDERR_REGEX AND NOT err MATCHES "${STDERR_REGEX}")
   message(FATAL_ERROR "stderr does not match '${STDERR_REGEX}':\n${err}")

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/hp_config.hpp"
@@ -23,6 +24,7 @@
 #include "core/hp_kernel.hpp"
 #include "core/hp_kernel_simd.hpp"
 #include "core/reduce.hpp"
+#include "trace/trace.hpp"
 #include "util/prng.hpp"
 
 namespace hpsum {
@@ -308,9 +310,9 @@ TEST(BlockApi, ReduceHpRoutesThroughBlockPath) {
 // (whatever level the build dispatches — avx2, generic, or the off-level
 // scalar loop) against the per-element kernel::block_add reference, from
 // the same starting limbs, sharing bound/pending/planes across arbitrary
-// span splits. Limbs and sticky status must match bit for bit; the interior
-// bound_exp may differ (the batched bound is deliberately conservative),
-// so it is not asserted.
+// span splits. Limbs and sticky status must match bit for bit. (The
+// batched gate reaches the same bound_exp/pending as the scalar loop at
+// every batch boundary; BlockGate.* below asserts that state directly.)
 // ---------------------------------------------------------------------------
 
 /// Differential: simd::accumulate over `xs` — split into subspans at
@@ -462,6 +464,170 @@ TEST(BlockSimd, DispatchLevelIsCoherent) {
   EXPECT_EQ(level, kernel::simd::Level::kOff);
 #endif
   EXPECT_STRNE(kernel::simd::level_name(level), "unknown");
+}
+
+// ---------------------------------------------------------------------------
+// The deferral gate itself. A deposit is deferred while
+// base + bit_width(pending) <= 64n-1 and pending < kBlockMaxPending, so
+// ordinary streams flush once per span; these tests pin the points where
+// the gate closes, on both the scalar and the batched deposit.
+// ---------------------------------------------------------------------------
+
+/// Raw block state over one format: limbs, planes, base and pending.
+struct BlockState {
+  std::vector<Limb> a;
+  std::vector<kernel::U128> pos;
+  std::vector<kernel::U128> neg;
+  int bound = 0;
+  int pending = 0;
+  HpStatus st = HpStatus::kOk;
+
+  BlockState(const HpConfig& cfg, std::vector<Limb> start)
+      : a(std::move(start)),
+        pos(static_cast<std::size_t>(cfg.n) + 1, 0),
+        neg(static_cast<std::size_t>(cfg.n) + 1, 0),
+        bound(kernel::block_bound_exp(a.data(), cfg.n)) {}
+
+  void add(const HpConfig& cfg, double x) {
+    st |= kernel::block_add(a.data(), pos.data(), neg.data(), cfg.n, cfg.k,
+                            bound, pending, x);
+  }
+  void simd(const HpConfig& cfg, std::span<const double> xs) {
+    st |= kernel::simd::accumulate(a.data(), pos.data(), neg.data(), cfg.n,
+                                   cfg.k, bound, pending, xs);
+  }
+  void flush(const HpConfig& cfg) {
+    kernel::block_flush(a.data(), pos.data(), neg.data(), cfg.n, bound,
+                        pending);
+  }
+};
+
+/// The scalar scatter loop over `xs` from `start`: the reference limbs and
+/// status every gate test compares against.
+std::pair<std::vector<Limb>, HpStatus> scatter_reference(
+    const HpConfig& cfg, std::vector<Limb> a, const std::vector<double>& xs) {
+  HpStatus st = HpStatus::kOk;
+  for (const double x : xs) {
+    st |= detail::scatter_add_double(a.data(), cfg.n, cfg.k, x);
+  }
+  return {a, st};
+}
+
+TEST(BlockGate, NearTopSummandsFlushAndFallBack) {
+  // Summands whose msb sits at 64n-4..64n-2 leave room for at most three
+  // deferred deposits, so this stream crosses many flushes and scalar
+  // fallbacks (and now and then leaves the range) under any bound. The
+  // leading sub-lsb summand raises kInexact, which must stay sticky across
+  // every one of those flushes.
+  util::Xoshiro256ss rng(0x70BF1005ull);
+  for (const HpConfig cfg : {HpConfig{2, 1}, HpConfig{3, 2}, HpConfig{6, 3}}) {
+    std::vector<double> xs(2000);
+    xs[0] = std::ldexp(1.0, min_exponent(cfg) - 8);
+    for (auto& x : std::span<double>(xs).subspan(1)) {
+      const int e = max_exponent(cfg) - 2 - static_cast<int>(rng.bounded(3));
+      x = std::ldexp((rng.next() & 1) != 0 ? -1.0 - rng.uniform01()
+                                           : 1.0 + rng.uniform01(),
+                     e);
+    }
+    const std::vector<Limb> start(static_cast<std::size_t>(cfg.n), 0);
+    const trace::Snapshot before = trace::snapshot();
+    expect_block_matches(cfg, start, xs);
+    expect_simd_matches_block_add(cfg, start, xs, {333, 8});
+    if (HasFatalFailure()) return;
+    if constexpr (trace::enabled()) {
+      const trace::Snapshot d = trace::snapshot().delta_since(before);
+      EXPECT_GT(d.value(trace::Counter::kBlockNormalizes), 0u);
+      EXPECT_GT(d.value(trace::Counter::kBlockScalarFallbacks), 0u);
+    }
+  }
+}
+
+TEST(BlockGate, BoundaryAcceptsExactlyTwoToTheBMinusOne) {
+  // With the base at 64n-1-b (start value 2^(64n-2-b)) and summands well
+  // below it, exactly 2^b - 1 deposits are deferred; the next one flushes
+  // and takes the scalar fallback, leaving nothing pending.
+  const HpConfig cfg{3, 1};
+  for (int b = 1; b <= 10; ++b) {
+    const int base = 64 * cfg.n - 1 - b;
+    std::vector<Limb> start(3, 0);
+    start[static_cast<std::size_t>(cfg.n - 1 - (base - 1) / 64)] =
+        Limb{1} << ((base - 1) % 64);
+    const int accepted = (1 << b) - 1;
+    std::vector<double> xs(static_cast<std::size_t>(accepted), 1.0);
+    xs.push_back(-0.5);  // the first deposit the gate refuses
+    for (int i = 0; i < 2 * kernel::simd::kWidth + 3; ++i) {
+      xs.push_back(0.25);
+    }
+
+    BlockState scalar(cfg, start);
+    ASSERT_EQ(scalar.bound, base);
+    for (int i = 0; i < accepted; ++i) {
+      scalar.add(cfg, xs[static_cast<std::size_t>(i)]);
+      ASSERT_EQ(scalar.pending, i + 1) << "b=" << b;
+      ASSERT_EQ(scalar.bound, base) << "b=" << b;
+    }
+    scalar.add(cfg, xs[static_cast<std::size_t>(accepted)]);
+    EXPECT_EQ(scalar.pending, 0) << "b=" << b << ": gate must close";
+
+    // The batched deposit reaches the same state at the same positions,
+    // whether the boundary falls inside a batch or on a span edge.
+    const std::span<const double> all(xs.data(), xs.size());
+    BlockState batched(cfg, start);
+    batched.simd(cfg, all.first(static_cast<std::size_t>(accepted)));
+    EXPECT_EQ(batched.pending, accepted) << "b=" << b;
+    EXPECT_EQ(batched.bound, base) << "b=" << b;
+    batched.simd(cfg, all.subspan(static_cast<std::size_t>(accepted), 1));
+    EXPECT_EQ(batched.pending, 0) << "b=" << b << ": gate must close";
+
+    for (int i = accepted + 1; i < static_cast<int>(xs.size()); ++i) {
+      scalar.add(cfg, xs[static_cast<std::size_t>(i)]);
+    }
+    batched.simd(cfg, all.subspan(static_cast<std::size_t>(accepted) + 1));
+    EXPECT_EQ(batched.pending, scalar.pending) << "b=" << b;
+    EXPECT_EQ(batched.bound, scalar.bound) << "b=" << b;
+    scalar.flush(cfg);
+    batched.flush(cfg);
+    const auto [ref, ref_st] = scatter_reference(cfg, start, xs);
+    ASSERT_EQ(ref, scalar.a) << "b=" << b;
+    ASSERT_EQ(ref, batched.a) << "b=" << b;
+    EXPECT_EQ(ref_st, scalar.st) << "b=" << b;
+    EXPECT_EQ(ref_st, batched.st) << "b=" << b;
+  }
+}
+
+TEST(BlockGate, PendingCapForcesFlush) {
+  // Seed pending one below the cap: the next deposit would reach
+  // kBlockMaxPending and must flush and fall back, even though the
+  // magnitude gate is nowhere near closing. The deposit after that is
+  // deferred again.
+  const HpConfig cfg{3, 1};
+  const std::vector<Limb> start(3, 0);
+  BlockState scalar(cfg, start);
+  scalar.pending = kernel::kBlockMaxPending - 1;
+  scalar.add(cfg, 1.0);
+  EXPECT_EQ(scalar.pending, 0);
+  scalar.add(cfg, 1.0);
+  EXPECT_EQ(scalar.pending, 1);
+  scalar.flush(cfg);
+  const auto [ref, ref_st] = scatter_reference(cfg, start, {1.0, 1.0});
+  EXPECT_EQ(ref, scalar.a);
+  EXPECT_EQ(ref_st, scalar.st);
+
+  // Batched: one full batch brings pending to cap-1, the next batch is
+  // punted and its first element flushes; the other seven are deferred.
+  constexpr int kW = kernel::simd::kWidth;
+  const std::vector<double> xs(2 * kW, 1.0);
+  const std::span<const double> all(xs.data(), xs.size());
+  BlockState batched(cfg, start);
+  batched.pending = kernel::kBlockMaxPending - 1 - kW;
+  batched.simd(cfg, all.first(kW));
+  EXPECT_EQ(batched.pending, kernel::kBlockMaxPending - 1);
+  batched.simd(cfg, all.subspan(kW));
+  EXPECT_EQ(batched.pending, kW - 1);
+  batched.flush(cfg);
+  const auto [bref, bref_st] = scatter_reference(cfg, start, xs);
+  EXPECT_EQ(bref, batched.a);
+  EXPECT_EQ(bref_st, batched.st);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include "core/hp_convert.hpp"
 #include "core/hp_fixed.hpp"
+#include "core/hp_kernel.hpp"
 #include "util/limbs.hpp"
 
 namespace {
@@ -235,6 +236,33 @@ constexpr bool scatter_status_contract_holds() {
   return a[0] == 0 && a[1] == 0;
 }
 static_assert(scatter_status_contract_holds());
+
+// --- Block-path deferral proofs -------------------------------------------
+
+/// A deep-pending stream: 300 deposits into (2,1), more than 64n = 128,
+/// stay deferred without a single flush (pending counts all of them), and
+/// the flushed limbs and status still equal the scalar scatter loop.
+constexpr bool deep_pending_matches_scalar() {
+  constexpr int kCount = 300;
+  util::Limb a[2] = {};
+  hpsum::kernel::U128 pos[3] = {};
+  hpsum::kernel::U128 neg[3] = {};
+  int bound = hpsum::kernel::block_bound_exp(a, 2);
+  int pending = 0;
+  util::Limb scalar[2] = {};
+  HpStatus st = HpStatus::kOk;
+  HpStatus sst = HpStatus::kOk;
+  for (int i = 0; i < kCount; ++i) {
+    const double x = (i % 3 == 0 ? -1.0 : 1.0) * (0.75 + 0.5 * i);
+    st |= hpsum::kernel::block_add(a, pos, neg, 2, 1, bound, pending, x);
+    sst |= hpsum::detail::scatter_add_double(scalar, 2, 1, x);
+  }
+  if (pending != kCount) return false;
+  hpsum::kernel::block_flush(a, pos, neg, 2, bound, pending);
+  return a[0] == scalar[0] && a[1] == scalar[1] && st == sst;
+}
+static_assert(deep_pending_matches_scalar(),
+              "more than 64n deposits defer without a flush, bit-exactly");
 
 // The gtest body exists so the suite registers the file; the proofs above
 // already ran inside the compiler.
