@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common.hpp"
 #include "core/hp_config.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpsum;
+  (void)bench::parse_args(argc, argv, {});
   std::printf("=== Table 1: HP method range and resolution ===\n\n");
   util::TablePrinter table({"N", "k", "Bits", "Max Range", "Smallest"});
   for (const HpConfig cfg :

@@ -5,11 +5,13 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common.hpp"
 #include "hallberg/hallberg.hpp"
 #include "util/table.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpsum;
+  (void)bench::parse_args(argc, argv, {});
   std::printf("=== Table 2: Hallberg parameters for ~512-bit precision ===\n\n");
   util::TablePrinter table(
       {"N", "M", "Precision Bits", "Maximum Summands", "Storage Bits"});

@@ -38,12 +38,14 @@
 //
 // Exit status: 0 on success, 1 on a token outside the grammar (the
 // message names it and its 1-based position), a read error on stdin, an
-// unknown flag, a failed --metrics/--flight/--health FILE write, or an
-// engine-routed total that is not bit-identical to the sequential
-// reference.
+// unknown flag, a flag value that does not parse (`--shards=2x`), a
+// negative --shards (flags are checked before stdin is read), a failed
+// --metrics/--flight/--health FILE write, or an engine-routed total that
+// is not bit-identical to the sequential reference.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,31 +64,42 @@
 
 int main(int argc, char** argv) {
   using namespace hpsum;
-  std::vector<double> xs;
-  if (const auto bad = util::read_doubles(stdin, xs)) {
-    if (bad->token.empty()) {
-      std::fprintf(stderr, "exact_sum_cli: read error on stdin\n");
-    } else {
-      std::fprintf(stderr,
-                   "exact_sum_cli: value %zu is not a finite decimal number: "
-                   "\"%s\"\n",
-                   bad->index, bad->token.c_str());
-    }
-    return 1;
-  }
-
   try {
     const util::Args args(argc, argv,
                           {"metrics", "flight", "pulse", "pulse-interval-ms",
                            "pulse-prom", "health", "shards",
                            "snapshot-every"});
+    // Every integer flag is read before stdin, so a bad value fails fast
+    // with no output.
+    const auto interval_ms = args.get_int("pulse-interval-ms", 250);
+    const auto shards_arg = args.get_int("shards", 0);
+    const auto chunk_arg = args.get_int("snapshot-every", 4096);
+    if (shards_arg < 0) {
+      throw std::invalid_argument(
+          "--shards: expected a non-negative integer, got " +
+          std::to_string(shards_arg));
+    }
+
+    std::vector<double> xs;
+    if (const auto bad = util::read_doubles(stdin, xs)) {
+      if (bad->token.empty()) {
+        std::fprintf(stderr, "exact_sum_cli: read error on stdin\n");
+      } else {
+        std::fprintf(stderr,
+                     "exact_sum_cli: value %zu is not a finite decimal "
+                     "number: \"%s\"\n",
+                     bad->index, bad->token.c_str());
+      }
+      return 1;
+    }
+
     if (!args.get_string("flight", "").empty()) trace::flight::arm();
     const std::string pulse = args.get_string("pulse", "");
     if (!pulse.empty()) {
       trace::pulse::Config pcfg;
       if (pulse != "true") pcfg.jsonl_path = pulse;
-      const auto ms = args.get_int("pulse-interval-ms", 250);
-      pcfg.interval = std::chrono::milliseconds(ms > 0 ? ms : 250);
+      pcfg.interval = std::chrono::milliseconds(interval_ms > 0 ? interval_ms
+                                                                : 250);
       pcfg.prom_path = args.get_string("pulse-prom", "");
       if (!trace::pulse::arm(pcfg) && trace::enabled()) {
         std::fprintf(stderr,
@@ -117,9 +130,8 @@ int main(int argc, char** argv) {
     std::printf("exact decimal    : %s\n", exact.to_decimal_string(60).c_str());
     std::printf("status           : %s\n", to_string(exact.status()).c_str());
 
-    const auto shards = static_cast<std::size_t>(args.get_int("shards", 0));
+    const auto shards = static_cast<std::size_t>(shards_arg);
     if (shards > 0) {
-      const auto chunk_arg = args.get_int("snapshot-every", 4096);
       const auto chunk =
           chunk_arg > 0 ? static_cast<std::size_t>(chunk_arg) : 4096;
       engine::ShardSet<engine::DynSum> sink(shards, engine::DynSum(cfg));

@@ -490,17 +490,18 @@ constexpr void block_flush(util::Limb* a, U128* pos, U128* neg, int n,
 /// bit-for-bit, limbs and status) identical to calling block_add per
 /// element.
 ///
-/// When the build enables it (HPSUM_SIMD != OFF), runtime calls dispatch to
-/// the vectorized batch deposit (core/hp_kernel_simd.hpp), which is fuzzed
-/// bit-identical — limbs and sticky status — to the scalar loop below.
-/// Constant evaluation always takes the scalar loop: the SIMD path is not
-/// constexpr, and the is_constant_evaluated() guard keeps this facade
-/// usable in both worlds.
+/// On a CPU with AVX2 (and a build with HPSUM_SIMD=AUTO), runtime calls
+/// dispatch to the vectorized batch deposit (core/hp_kernel_simd.hpp),
+/// which is fuzzed bit-identical — limbs and sticky status — to the scalar
+/// loop below; every other CPU runs the loop. Constant evaluation always
+/// takes the scalar loop: the SIMD path is not constexpr, and the
+/// is_constant_evaluated() guard keeps this facade usable in both worlds.
 [[nodiscard]] constexpr HpStatus block_accumulate(
     util::Limb* a, U128* pos, U128* neg, int n, int k, int& bound_exp,
     int& pending, std::span<const double> xs) noexcept {
 #if HPSUM_SIMD_DISPATCH
-  if (!std::is_constant_evaluated()) {
+  if (!std::is_constant_evaluated() &&
+      simd::active_level() == simd::Level::kAvx2) {
     return simd::accumulate(a, pos, neg, n, k, bound_exp, pending, xs);
   }
 #endif

@@ -2,39 +2,23 @@
 //
 // kernel::block_accumulate (core/hp_kernel.hpp) is the facade every span
 // consumer routes through (HpFixed/HpDyn::accumulate, reduce_hp, the
-// backends' whole-slice accumulators, rblas, the mpisim op). At runtime it
-// dispatches here: a batch of kWidth doubles is decomposed in vector lanes
-// (exponent extract, mantissa split, sign select) and deposited into the
-// positive/negative carry-save planes, instead of paying the scalar
-// decompose's branch tree once per summand.
+// backends' whole-slice accumulators, rblas, the mpisim op). At runtime, on
+// a CPU with AVX2, it dispatches here: a batch of kWidth doubles is
+// decomposed in vector lanes (exponent extract, mantissa split, sign
+// select) and deposited into the positive/negative carry-save planes,
+// instead of paying the scalar decompose's branch tree once per summand.
 //
-// Implementations, selected at configure time (-DHPSUM_SIMD=...):
+// Configure-time choice (-DHPSUM_SIMD=...):
 //
-//   AVX2     — x86 intrinsics (hp_kernel_simd_avx2.cpp, compiled -mavx2).
-//   GENERIC  — GCC vector extensions (hp_kernel_simd.cpp); the compiler
-//              lowers the lanes to whatever the baseline ISA offers, or
-//              scalarizes them — either way the algorithm is identical.
-//   AUTO     — compile both (when the compiler supports -mavx2) and pick
-//              AVX2 at runtime iff the CPU reports it; GENERIC otherwise.
-//   OFF      — kernel::block_accumulate keeps the pure-scalar block_add
-//              loop; this translation unit still builds so active_level()
-//              stays linkable (it reports kOff).
+//   AUTO — when the compiler accepts -mavx2, build the AVX2 decomposer
+//          (hp_kernel_simd_avx2.cpp) and use it iff the CPU reports AVX2.
+//          Every other CPU, and every compiler without -mavx2, runs the
+//          scalar block_add loop in kernel::block_accumulate.
+//   OFF  — no vector path; active_level() reports kOff.
 //
-// Bit-identity argument (docs/KERNELS.md has the long form): a batch is
-// vector-deposited only when every lane is a NORMAL double whose mantissa
-// lands fully inside the limb array (no truncation below 2^-64k, msb at
-// most 64n-2). Such deposits raise no status flags and are deferred into
-// the planes, where addition is commutative over Z/2^(64n) — so any
-// batching order equals the scalar element-at-a-time order. The deferral
-// state is updated per batch to exactly what the scalar loop reaches after
-// the same elements (base max(bound_exp, max_msb+1), pending + kWidth), and
-// the shared gate kernel::block_may_defer is monotone in both, so the batch
-// path flushes and falls back at the same stream positions as the scalar
-// path — and the fallback is bit-identical by construction. Any batch
-// containing a slow lane (zero, subnormal, non-finite, sub-lsb truncation,
-// near-range, or a bound violation) is punted whole, in stream order, to
-// the scalar kernel::block_add. Limbs AND sticky status therefore match
-// the scalar kernel exactly; tests/test_block.cpp fuzzes the equivalence.
+// The vectorized deposit is bit-identical to the scalar loop — limbs and
+// sticky status. hp_kernel_simd_avx2.cpp holds the argument, and
+// tests/test_block.cpp fuzzes the equivalence through the facade.
 #pragma once
 
 #include <span>
@@ -42,10 +26,10 @@
 #include "core/hp_status.hpp"
 #include "util/limbs.hpp"
 
-// Defined PUBLIC (0 or 1) on hpsum_core by src/core/CMakeLists.txt from the
-// HPSUM_SIMD configure option, so every target in the build agrees on the
-// shape of the inline kernel::block_accumulate (ODR). The out-of-build
-// default is the conservative scalar path.
+// Defined PUBLIC (0 or 1) on hpsum_core by src/core/CMakeLists.txt: 1
+// exactly when the AVX2 translation unit is built, so every target in the
+// build agrees on the shape of the inline kernel::block_accumulate (ODR).
+// The out-of-build default is the conservative scalar path.
 #ifndef HPSUM_SIMD_DISPATCH
 #define HPSUM_SIMD_DISPATCH 0
 #endif
@@ -58,22 +42,24 @@ __extension__ using U128 = unsigned __int128;
 /// kWidth (and any batch with a slow lane) takes the scalar deposit.
 inline constexpr int kWidth = 8;
 
-/// Which implementation block_accumulate dispatches to at runtime.
-enum class Level { kOff, kGeneric, kAvx2 };
+/// Which deposit path block_accumulate takes at runtime.
+enum class Level { kOff, kAvx2 };
 
-/// The resolved dispatch level: configure-time HPSUM_SIMD combined with
-/// the runtime CPU check (AUTO builds only use AVX2 when the CPU has it).
+/// The resolved dispatch level: kAvx2 iff the build has the AVX2 path
+/// (HPSUM_SIMD_DISPATCH) and the CPU reports AVX2; kOff otherwise.
 [[nodiscard]] Level active_level() noexcept;
 
-/// Stable lowercase name for exports/banners: "off", "generic", "avx2".
+/// Stable lowercase name for exports/banners: "off", "avx2".
 [[nodiscard]] const char* level_name(Level level) noexcept;
 
-/// The runtime batched deposit behind kernel::block_accumulate. Same
-/// contract and same state as kernel::block_add driven per element —
-/// bit-identical limbs and sticky status — but never usable in constant
-/// evaluation (the facade keeps the scalar loop for that).
-[[nodiscard]] HpStatus accumulate(util::Limb* a, U128* pos, U128* neg, int n,
-                                  int k, int& bound_exp, int& pending,
-                                  std::span<const double> xs) noexcept;
+#if HPSUM_SIMD_DISPATCH
+/// The AVX2 batched deposit behind kernel::block_accumulate. Same contract
+/// and same state as kernel::block_add driven per element — bit-identical
+/// limbs and sticky status. Executes AVX2 instructions: call it only when
+/// active_level() is kAvx2 (the facade checks).
+[[nodiscard, gnu::target("avx2")]] HpStatus accumulate(
+    util::Limb* a, U128* pos, U128* neg, int n, int k, int& bound_exp,
+    int& pending, std::span<const double> xs) noexcept;
+#endif
 
 }  // namespace hpsum::kernel::simd

@@ -50,6 +50,14 @@ ReadError bad_token(const char* first, const char* last, std::size_t index) {
   return {std::string(first, kShownToken) + "...", index};
 }
 
+// The error for a flag value that does not parse as a whole, e.g.
+// `--shards: expected an integer, got "2x"`.
+std::invalid_argument bad_value(std::string_view name, const char* expected,
+                                const std::string& value) {
+  return std::invalid_argument("--" + std::string(name) + ": expected " +
+                               expected + ", got \"" + value + "\"");
+}
+
 }  // namespace
 
 Args::Args(int argc, char** argv, std::vector<std::string> known) {
@@ -94,12 +102,28 @@ std::int64_t Args::get_int(std::string_view name, std::int64_t fallback) const {
       default: break;
     }
   }
-  return std::stoll(s) * scale;
+  std::int64_t x = 0;
+  const char* const last = s.data() + s.size();
+  const auto [end, ec] = std::from_chars(s.data(), last, x);
+  if (end != last || ec == std::errc::invalid_argument) {
+    throw bad_value(name, "an integer", *v);
+  }
+  if (ec != std::errc() || __builtin_mul_overflow(x, scale, &x)) {
+    throw bad_value(name, "an integer in 64-bit range", *v);
+  }
+  return x;
 }
 
 double Args::get_double(std::string_view name, double fallback) const {
   const auto v = raw(name);
-  return v ? std::stod(*v) : fallback;
+  if (!v) return fallback;
+  double x = 0;
+  const char* const last = v->data() + v->size();
+  const auto [end, ec] = std::from_chars(v->data(), last, x);
+  if (end != last || ec != std::errc()) {
+    throw bad_value(name, "a number", *v);
+  }
+  return x;
 }
 
 std::string Args::get_string(std::string_view name, std::string fallback) const {

@@ -24,11 +24,15 @@ class Args {
   Args(int argc, char** argv, std::vector<std::string> known);
 
   /// Integer flag with default. Accepts size suffixes k/K, m/M, g/G
-  /// (binary: 1k = 1024).
+  /// (binary: 1k = 1024). The whole value must parse and the scaled
+  /// result must fit in 64 bits; otherwise raises std::invalid_argument
+  /// naming the flag and the value.
   [[nodiscard]] std::int64_t get_int(std::string_view name,
                                      std::int64_t fallback) const;
 
-  /// Floating-point flag with default.
+  /// Floating-point flag with default. The whole value must parse with
+  /// std::from_chars and be in double range; otherwise raises
+  /// std::invalid_argument naming the flag and the value.
   [[nodiscard]] double get_double(std::string_view name, double fallback) const;
 
   /// String flag with default.

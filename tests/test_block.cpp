@@ -306,16 +306,16 @@ TEST(BlockApi, ReduceHpRoutesThroughBlockPath) {
 }
 
 // ---------------------------------------------------------------------------
-// The SIMD deposit path, tested at kernel level: kernel::simd::accumulate
-// (whatever level the build dispatches — avx2, generic, or the off-level
-// scalar loop) against the per-element kernel::block_add reference, from
+// The SIMD deposit path, tested at kernel level: kernel::block_accumulate
+// (whatever level the build dispatches — the AVX2 batches, or the scalar
+// span loop) against the per-element kernel::block_add reference, from
 // the same starting limbs, sharing bound/pending/planes across arbitrary
 // span splits. Limbs and sticky status must match bit for bit. (The
 // batched gate reaches the same bound_exp/pending as the scalar loop at
 // every batch boundary; BlockGate.* below asserts that state directly.)
 // ---------------------------------------------------------------------------
 
-/// Differential: simd::accumulate over `xs` — split into subspans at
+/// Differential: block_accumulate over `xs` — split into subspans at
 /// `splits` (sizes deliberately not multiples of the batch width, modelling
 /// the dot/asum chunk staging's partial final chunk) — vs the scalar
 /// block_add loop. One flush at the end of each side.
@@ -347,12 +347,12 @@ void expect_simd_matches_block_add(const HpConfig& cfg,
   const std::span<const double> all(xs.data(), xs.size());
   std::size_t at = 0;
   for (const std::size_t len : splits) {
-    vst |= kernel::simd::accumulate(simd.data(), vpos.data(), vneg.data(),
+    vst |= kernel::block_accumulate(simd.data(), vpos.data(), vneg.data(),
                                     cfg.n, cfg.k, vbound, vpend,
                                     all.subspan(at, len));
     at += len;
   }
-  vst |= kernel::simd::accumulate(simd.data(), vpos.data(), vneg.data(),
+  vst |= kernel::block_accumulate(simd.data(), vpos.data(), vneg.data(),
                                   cfg.n, cfg.k, vbound, vpend,
                                   all.subspan(at));
   kernel::block_flush(simd.data(), vpos.data(), vneg.data(), cfg.n, vbound,
@@ -456,11 +456,14 @@ TEST(BlockSimd, UniformAndStraddlingBatches) {
 TEST(BlockSimd, DispatchLevelIsCoherent) {
   const auto level = kernel::simd::active_level();
 #if HPSUM_SIMD_DISPATCH
-  // A dispatching build must have resolved to a real lane implementation.
-  EXPECT_NE(level, kernel::simd::Level::kOff);
+  // A dispatching build takes the AVX2 path exactly when the CPU has it;
+  // every other CPU stays on the scalar span loop.
+  __builtin_cpu_init();
+  EXPECT_EQ(level == kernel::simd::Level::kAvx2,
+            __builtin_cpu_supports("avx2") != 0);
 #else
   // HPSUM_SIMD=OFF pins the off level: block_accumulate never leaves the
-  // scalar loop, and direct simd::accumulate calls take the scalar branch.
+  // scalar loop.
   EXPECT_EQ(level, kernel::simd::Level::kOff);
 #endif
   EXPECT_STRNE(kernel::simd::level_name(level), "unknown");
@@ -493,7 +496,7 @@ struct BlockState {
                             bound, pending, x);
   }
   void simd(const HpConfig& cfg, std::span<const double> xs) {
-    st |= kernel::simd::accumulate(a.data(), pos.data(), neg.data(), cfg.n,
+    st |= kernel::block_accumulate(a.data(), pos.data(), neg.data(), cfg.n,
                                    cfg.k, bound, pending, xs);
   }
   void flush(const HpConfig& cfg) {

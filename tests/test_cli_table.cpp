@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -35,6 +36,7 @@ TEST(Cli, ParsesIntAndSuffixes) {
   EXPECT_EQ(args3.get_int("n", 0), 1 << 30);
   const Args args4 = parse({"--n=123"}, {"n"});
   EXPECT_EQ(args4.get_int("n", 0), 123);
+  EXPECT_EQ(parse({"--n=-3k"}, {"n"}).get_int("n", 0), -3072);
 }
 
 TEST(Cli, ParsesDoubleAndString) {
@@ -48,6 +50,61 @@ TEST(Cli, BoolFlagForms) {
   EXPECT_TRUE(parse({"--fast=1"}, {"fast"}).get_bool("fast"));
   EXPECT_TRUE(parse({"--fast=yes"}, {"fast"}).get_bool("fast"));
   EXPECT_FALSE(parse({"--fast=0"}, {"fast"}).get_bool("fast"));
+}
+
+// Runs `get` and expects the std::invalid_argument a bad flag value
+// raises, naming the flag and the whole value, e.g.
+// `--shards: expected an integer, got "2x"`.
+template <class Get>
+void expect_bad_value(Get get, const std::string& flag,
+                      const std::string& value) {
+  try {
+    (void)get();
+    ADD_FAILURE() << "--" << flag << "=" << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--" + flag + ": expected "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("\"" + value + "\""), std::string::npos) << what;
+  }
+}
+
+TEST(Cli, IntRejectsPartialAndMalformedValues) {
+  for (const std::string value :
+       {"2x", "abc", "", "k", "1.5", "1e6", " 7", "7 ", "--3", "4kk", "0x10"}) {
+    const std::string arg = "--shards=" + value;
+    const Args args = parse({arg.c_str()}, {"shards"});
+    expect_bad_value([&] { return args.get_int("shards", 0); }, "shards",
+                     value);
+  }
+  // A bare --flag carries the value "true", which is not an integer.
+  const Args bare = parse({"--shards"}, {"shards"});
+  expect_bad_value([&] { return bare.get_int("shards", 0); }, "shards",
+                   "true");
+}
+
+TEST(Cli, IntRejectsOverflow) {
+  // Out of from_chars range, or overflowing in the suffix multiply.
+  for (const std::string value :
+       {"9223372036854775808", "-9223372036854775809", "9000000000000000000k",
+        "9007199254740992M", "8589934592G", "-8589934593G"}) {
+    const std::string arg = "--n=" + value;
+    const Args args = parse({arg.c_str()}, {"n"});
+    expect_bad_value([&] { return args.get_int("n", 0); }, "n", value);
+  }
+  EXPECT_EQ(parse({"--n=9223372036854775807"}, {"n"}).get_int("n", 0),
+            INT64_MAX);
+  EXPECT_EQ(parse({"--n=-8589934592G"}, {"n"}).get_int("n", 0), INT64_MIN);
+}
+
+TEST(Cli, DoubleRejectsPartialAndMalformedValues) {
+  for (const std::string value : {"1.5x", "abc", "", "1e", "1,5", " 2",
+                                  "1e400"}) {
+    const std::string arg = "--sigma=" + value;
+    const Args args = parse({arg.c_str()}, {"sigma"});
+    expect_bad_value([&] { return args.get_double("sigma", 0); }, "sigma",
+                     value);
+  }
 }
 
 TEST(Cli, UnknownFlagThrows) {
