@@ -22,8 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpsum;
-  const util::Args args = bench::parse_args(argc, argv, {"n", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"n", "trials", "seed", "csv"});
   const auto n = bench::pick(args, "n", 1024 * 1024, 16 * 1024 * 1024);
   const auto trials = static_cast<int>(args.get_int("trials", 5));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 12));

@@ -24,6 +24,7 @@
 #include "core/hp_fixed.hpp"
 #include "core/hp_kernel.hpp"
 #include "core/hp_kernel_simd.hpp"
+#include "trace/trace.hpp"
 #include "util/table.hpp"
 #include "workload/workload.hpp"
 
@@ -84,10 +85,8 @@ struct BlockRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(
-      argc, argv,
-      {"n", "seed", "csv", "json", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args =
+      bench::parse_args(argc, argv, {"n", "seed", "csv", "json"});
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
 

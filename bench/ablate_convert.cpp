@@ -75,8 +75,7 @@ struct ScatterRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(argc, argv, {"n", "seed", "csv", "json", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"n", "seed", "csv", "json"});
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 10));
 

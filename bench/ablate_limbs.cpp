@@ -41,8 +41,7 @@ void row(util::TablePrinter& table, const std::vector<double>& xs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(argc, argv, {"n", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"n", "seed", "csv"});
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
 

@@ -84,8 +84,7 @@ Point run_hp(cudasim::Device& dev, const double* data, std::size_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(argc, argv, {"n", "threads", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"n", "threads", "seed", "csv"});
   const auto n = bench::pick(args, "n", 512 * 1024, 8 * 1024 * 1024);
   const auto threads = static_cast<int>(args.get_int("threads", 4096));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 14));

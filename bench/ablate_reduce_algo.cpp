@@ -58,8 +58,7 @@ Point combine_phase(int ranks, const mpisim::Datatype& dt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(argc, argv, {"maxp", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"maxp", "trials", "seed", "csv"});
   const auto maxp = static_cast<int>(args.get_int("maxp", 128));
   const auto trials = static_cast<int>(args.get_int("trials", 5));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 16));

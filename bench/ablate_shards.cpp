@@ -108,11 +108,8 @@ double sweep_point(std::span<const double> xs, std::size_t shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(
-      argc, argv,
-      {"n", "seed", "chunk", "maxshards", "csv", "json", bench::kMetricsFlag,
-       bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(
+      argc, argv, {"n", "seed", "chunk", "maxshards", "csv", "json"});
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 17));
   const auto chunk_arg = args.get_int("chunk", 4096);

@@ -4,6 +4,11 @@
 // problem size by default and the paper's full size under HPSUM_FULL=1
 // (or explicit --n/--trials flags). Each harness prints which scale it ran
 // so EXPERIMENTS.md can record the provenance of every number.
+//
+// Flags: parse_args() gives every harness its own flags, --help, and the
+// five telemetry flags of audit/telemetry.hpp (--metrics, --flight,
+// --pulse, --pulse-interval-ms, --pulse-prom), armed before the run;
+// finish() writes their exports. A harness names no telemetry flag itself.
 #pragma once
 
 #include <cstdint>
@@ -15,148 +20,112 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "trace/flight.hpp"
+#include "audit/telemetry.hpp"
 #include "trace/pulse.hpp"
-#include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace hpsum::bench {
 
-/// The --metrics flag every bench harness accepts (add kMetricsFlag to the
-/// harness's known-flags list). Bare `--metrics` dumps the telemetry
-/// snapshot as JSON to stdout after the run; `--metrics=FILE` writes it to
-/// FILE. No flag, no output — and in HPSUM_TRACE=OFF builds the export
-/// still works but every counter reads 0.
-inline constexpr const char* kMetricsFlag = "metrics";
+/// Prints a flag error and the usage line to stderr and exits 2.
+[[noreturn]] inline void usage_error(const std::string& usage,
+                                     const char* what) {
+  std::fprintf(stderr, "error: %s\n%s", what, usage.c_str());
+  std::exit(2);
+}
 
-/// The --flight flag every bench harness accepts (add kFlightFlag to the
-/// harness's known-flags list). Presence arms the hpsum_flight event
-/// recorder for the run (see arm_flight); after the run the recorded
-/// timeline is exported: bare `--flight` prints Chrome trace-event JSON to
-/// stdout, `--flight=FILE` writes it to FILE, and a FILE ending in ".bin"
-/// selects the compact binary dump (decode: tools/flight2chrome.py).
-inline constexpr const char* kFlightFlag = "flight";
+/// A harness's parsed flags, telemetry included. Reads never reach
+/// std::terminate: a value that does not parse (`--n=abc`) prints the
+/// error and the usage line to stderr and exits 2, like an unknown flag.
+class Args {
+ public:
+  /// Arms the telemetry the flags ask for; a pulse sampler that cannot
+  /// start exits 1. Throws std::invalid_argument on a bad telemetry flag
+  /// value.
+  Args(util::Args args, std::string usage)
+      : args_(std::move(args)), telemetry_(args_), usage_(std::move(usage)) {
+    if (const std::string err = telemetry_.arm("error"); !err.empty()) {
+      std::fputs(err.c_str(), stderr);
+      std::exit(1);
+    }
+  }
 
-/// The --pulse flag every bench harness accepts (add kPulseFlag,
-/// kPulseIntervalFlag, and kPulsePromFlag to the harness's known-flags
-/// list). Presence arms the hpsum_pulse background sampler for the run:
-/// bare `--pulse` streams JSONL ticks to "pulse.jsonl",
-/// `--pulse=FILE` picks the stream path. `--pulse-interval-ms=N` sets the
-/// tick interval (default 250) and `--pulse-prom=FILE` additionally
-/// rewrites Prometheus text exposition every tick. The HPSUM_PULSE
-/// environment variable arms the sampler even without the flag.
-inline constexpr const char* kPulseFlag = "pulse";
-inline constexpr const char* kPulseIntervalFlag = "pulse-interval-ms";
-inline constexpr const char* kPulsePromFlag = "pulse-prom";
+  [[nodiscard]] std::int64_t get_int(std::string_view name,
+                                     std::int64_t fallback) const {
+    return checked([&] { return args_.get_int(name, fallback); });
+  }
+  [[nodiscard]] double get_double(std::string_view name,
+                                  double fallback) const {
+    return checked([&] { return args_.get_double(name, fallback); });
+  }
+  [[nodiscard]] std::string get_string(std::string_view name,
+                                       std::string fallback) const {
+    return args_.get_string(name, std::move(fallback));
+  }
+  [[nodiscard]] const audit::Telemetry& telemetry() const noexcept {
+    return telemetry_;
+  }
 
-/// Parses a harness's argv against its known-flags list without ever
-/// reaching std::terminate: `--help` prints the usage line to stdout and
-/// exits 0; an unknown or malformed flag prints the error and the usage
-/// line to stderr and exits 2. Every bench main() starts with
-/// `const util::Args args = bench::parse_args(argc, argv, {...});`.
-[[nodiscard]] inline util::Args parse_args(
-    int argc, char** argv, const std::vector<std::string>& known) {
-  const auto usage = [&](std::FILE* out) {
-    std::fprintf(out, "usage: %s", argc > 0 ? argv[0] : "bench");
-    for (const auto& flag : known) std::fprintf(out, " [--%s]", flag.c_str());
-    std::fprintf(out, " [--help]\n");
-  };
+ private:
+  template <class Read>
+  auto checked(Read read) const -> decltype(read()) {
+    try {
+      return read();
+    } catch (const std::invalid_argument& e) {
+      trace::pulse::disarm();  // std::exit skips ~Telemetry
+      usage_error(usage_, e.what());
+    }
+  }
+
+  util::Args args_;
+  audit::Telemetry telemetry_;
+  std::string usage_;
+};
+
+/// Parses a harness's argv against its own flags plus the telemetry flags
+/// (audit/telemetry.hpp) and arms the telemetry the flags ask for, so the
+/// whole run is recorded. `--help` prints the usage line to stdout and
+/// exits 0; an unknown flag or a bad value prints the error and the usage
+/// line to stderr and exits 2; a pulse sampler that cannot start exits 1.
+/// Every bench main() starts with
+/// `const bench::Args args = bench::parse_args(argc, argv, {...});`.
+[[nodiscard]] inline Args parse_args(int argc, char** argv,
+                                     const std::vector<std::string>& known) {
+  std::string usage = "usage: ";
+  usage += argc > 0 ? argv[0] : "bench";
+  for (const auto& flag : known) usage += " [--" + flag + "]";
+  usage += " [--help]\n       ";
+  usage += audit::kTelemetryUsage;
+  usage += '\n';
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--help") {
-      usage(stdout);
+      std::fputs(usage.c_str(), stdout);
       std::exit(0);
     }
   }
   try {
-    return util::Args(argc, argv, known);
+    return Args(util::Args(argc, argv, audit::with_telemetry_flags(known)),
+                usage);
   } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    usage(stderr);
-    std::exit(2);
+    usage_error(usage, e.what());
   }
 }
 
-/// Arms the flight recorder when --flight was given. Call right after
-/// argument parsing, BEFORE the measured work, so worker threads spawned
-/// later get their track labels recorded (set_track is a no-op while
-/// disarmed). HPSUM_FLIGHT=1 in the environment arms it even earlier.
-inline void arm_flight(const util::Args& args) {
-  if (!args.get_string(kFlightFlag, "").empty()) trace::flight::arm();
-}
-
-/// Arms the pulse sampler when --pulse (or HPSUM_PULSE) was given. Call
-/// right after argument parsing, BEFORE the measured work, so the stream
-/// covers the whole run. Returns false only when arming was requested via
-/// the flag but failed (unwritable stream path) in a trace-enabled build;
-/// harnesses treat that as a fatal usage error.
-[[nodiscard]] inline bool arm_pulse(const util::Args& args) {
-  const std::string value = args.get_string(kPulseFlag, "");
-  if (value.empty()) return trace::pulse::arm_from_env(), true;
-  trace::pulse::Config cfg;
-  if (value != "true") cfg.jsonl_path = value;
-  const auto ms = args.get_int(kPulseIntervalFlag, 250);
-  cfg.interval = std::chrono::milliseconds(ms > 0 ? ms : 250);
-  cfg.prom_path = args.get_string(kPulsePromFlag, "");
-  const bool ok = trace::pulse::arm(cfg);
-  if (!ok && trace::enabled()) {
-    std::fprintf(stderr, "error: could not start --pulse sampler on %s\n",
-                 cfg.jsonl_path.c_str());
-    return false;
-  }
-  return true;
-}
-
-/// Emits the trace snapshot if --metrics was given. Call once, after the
-/// harness's last measured work. Returns false when a --metrics=FILE write
-/// failed (the harness must exit nonzero so CI cannot silently lose
-/// metrics; see finish()).
-[[nodiscard]] inline bool emit_metrics(const util::Args& args) {
-  const std::string value = args.get_string(kMetricsFlag, "");
-  if (value.empty()) return true;
-  // util::Args stores "true" for a bare flag; treat that as stdout.
-  const std::string path = value == "true" ? "" : value;
-  if (!trace::write_json(path)) {
-    std::fprintf(stderr, "error: could not write --metrics file %s\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
-}
-
-/// Exports the flight recording if --flight was given. Returns false when
-/// a FILE export failed (propagated to the exit status by finish()).
-[[nodiscard]] inline bool emit_flight(const util::Args& args) {
-  const std::string value = args.get_string(kFlightFlag, "");
-  if (value.empty()) return true;
-  const std::string path = value == "true" ? "" : value;
-  const bool binary =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".bin") == 0;
-  const bool ok = binary ? trace::flight::dump_binary(path)
-                         : trace::flight::dump_chrome_json(path);
-  if (!ok) {
-    std::fprintf(stderr, "error: could not write --flight file %s\n",
-                 path.c_str());
-  }
-  return ok;
-}
-
-/// Standard harness epilogue: stops the pulse sampler (final tick flushes
-/// the end-of-run state), exports --metrics and --flight, and converts any
-/// export failure into a nonzero exit status. Every bench main() ends with
-/// `return bench::finish(args);`.
-[[nodiscard]] inline int finish(const util::Args& args) {
-  trace::pulse::disarm();
-  const bool metrics_ok = emit_metrics(args);
-  const bool flight_ok = emit_flight(args);
-  return metrics_ok && flight_ok ? 0 : 1;
+/// Standard harness epilogue: stops the pulse sampler, writes the
+/// --metrics and --flight exports, and turns a failed write into exit
+/// status 1. Every bench main() ends with `return bench::finish(args);`.
+[[nodiscard]] inline int finish(const Args& args) {
+  const std::string err = args.telemetry().finish("error");
+  std::fputs(err.c_str(), stderr);
+  return err.empty() ? 0 : 1;
 }
 
 /// Problem-size selection: explicit flag > HPSUM_FULL > scaled default.
-inline std::int64_t pick(const util::Args& args, const std::string& flag,
+inline std::int64_t pick(const Args& args, const std::string& flag,
                          std::int64_t scaled, std::int64_t full) {
   const std::int64_t base = util::Args::full_scale() ? full : scaled;
   return args.get_int(flag, base);
@@ -175,8 +144,7 @@ inline void sink(double v) { asm volatile("" : : "g"(v) : "memory"); }
 
 /// Prints the table to stdout and, when --csv=PATH was given, appends its
 /// CSV rendering to PATH (for plotting scripts).
-inline void emit_table(const util::TablePrinter& table,
-                       const util::Args& args) {
+inline void emit_table(const util::TablePrinter& table, const Args& args) {
   table.print(std::cout);
   const std::string path = args.get_string("csv", "");
   if (!path.empty()) {

@@ -20,8 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpsum;
-  const util::Args args = bench::parse_args(argc, argv, {"trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"trials", "seed", "csv"});
   const auto trials = bench::pick(args, "trials", 2048, 16384);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20160523));
 

@@ -20,8 +20,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpsum;
-  const util::Args args = bench::parse_args(argc, argv, {"trials", "n", "seed", "bins", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"trials", "n", "seed", "bins", "csv"});
   const auto trials = bench::pick(args, "trials", 4096, 16384);
   const auto n = static_cast<std::size_t>(args.get_int("n", 1024));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20160524));

@@ -45,8 +45,7 @@ double time_hallberg(const std::vector<double>& xs, int trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(argc, argv, {"nmax", "trials", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"nmax", "trials", "seed", "csv"});
   // The crossover the paper reports sits past 1M summands, so even the
   // scaled default sweeps to the paper's full 16M.
   const auto nmax = bench::pick(args, "nmax", 16 * 1024 * 1024, 16 * 1024 * 1024);

@@ -44,13 +44,8 @@ std::vector<backends::ScalingPoint> sweep(const std::vector<double>& xs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(
-      argc, argv,
-      {"n", "trials", "seed", "maxp", "csv", bench::kMetricsFlag,
-       bench::kFlightFlag, bench::kPulseFlag, bench::kPulseIntervalFlag,
-       bench::kPulsePromFlag});
-  bench::arm_flight(args);
-  if (!bench::arm_pulse(args)) return 1;
+  const bench::Args args =
+      bench::parse_args(argc, argv, {"n", "trials", "seed", "maxp", "csv"});
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto trials = static_cast<int>(args.get_int("trials", 3));
   const auto maxp = static_cast<int>(args.get_int("maxp", 8));

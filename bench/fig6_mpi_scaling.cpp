@@ -34,6 +34,7 @@
 #include "hallberg/hallberg.hpp"
 #include "mpisim/hp_ops.hpp"
 #include "mpisim/mpisim.hpp"
+#include "trace/flight.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "workload/workload.hpp"
@@ -161,13 +162,9 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(
+  const bench::Args args = bench::parse_args(
       argc, argv,
-      {"n", "maxp", "seed", "algo", "wire", "mode", "dist", "csv", "json",
-       bench::kMetricsFlag, bench::kFlightFlag, bench::kPulseFlag,
-       bench::kPulseIntervalFlag, bench::kPulsePromFlag});
-  bench::arm_flight(args);
-  if (!bench::arm_pulse(args)) return 1;
+      {"n", "maxp", "seed", "algo", "wire", "mode", "dist", "csv", "json"});
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto maxp = static_cast<int>(args.get_int("maxp", 128));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));

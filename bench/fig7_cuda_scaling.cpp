@@ -127,8 +127,7 @@ Point run_hallberg(cudasim::Device& dev, const double* data, std::size_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args = bench::parse_args(argc, argv, {"n", "seed", "maxthreads", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"n", "seed", "maxthreads", "csv"});
   const auto n = bench::pick(args, "n", 1024 * 1024, 32 * 1024 * 1024);
   const auto maxthreads = static_cast<int>(args.get_int("maxthreads", 32768));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));

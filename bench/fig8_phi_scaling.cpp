@@ -21,8 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpsum;
-  const util::Args args = bench::parse_args(argc, argv, {"n", "seed", "csv", bench::kMetricsFlag, bench::kFlightFlag});
-  bench::arm_flight(args);
+  const bench::Args args = bench::parse_args(argc, argv, {"n", "seed", "csv"});
   const auto n = bench::pick(args, "n", 2 * 1024 * 1024, 32 * 1024 * 1024);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 8));
 

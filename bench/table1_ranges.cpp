@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpsum;
-  (void)bench::parse_args(argc, argv, {});
+  const bench::Args args = bench::parse_args(argc, argv, {});
   std::printf("=== Table 1: HP method range and resolution ===\n\n");
   util::TablePrinter table({"N", "k", "Bits", "Max Range", "Smallest"});
   for (const HpConfig cfg :
@@ -35,5 +35,5 @@ int main(int argc, char** argv) {
       "                 (3,2) ±9.223372e18 / 2.938736e-39\n"
       "                 (6,3) ±3.138551e57 / 1.593092e-58\n"
       "                 (8,4) ±5.789604e76 / 8.636169e-78\n");
-  return 0;
+  return bench::finish(args);
 }

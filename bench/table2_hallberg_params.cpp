@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpsum;
-  (void)bench::parse_args(argc, argv, {});
+  const bench::Args args = bench::parse_args(argc, argv, {});
   std::printf("=== Table 2: Hallberg parameters for ~512-bit precision ===\n\n");
   util::TablePrinter table(
       {"N", "M", "Precision Bits", "Maximum Summands", "Storage Bits"});
@@ -33,5 +33,5 @@ int main(int argc, char** argv) {
       "                N=14 M=37 518 bits <=64M\n"
       "HP comparator: N=8, k=4 => 511 precision bits in 512 storage bits,\n"
       "no summand-count limit — the storage/overhead contrast of §II.B.\n");
-  return 0;
+  return bench::finish(args);
 }

@@ -20,15 +20,15 @@
 // token such as `1.5-2` or `1.2.3`, which `>>` would split into two values,
 // is rejected whole. Input is read in 64 KiB chunks, not all at once.
 //
-// --metrics[=FILE] additionally dumps the runtime telemetry snapshot
-// (scatter fast-path deposits, carry-chain distribution, status raises;
-// see docs/OBSERVABILITY.md) as JSON to stdout or FILE. --flight[=FILE]
-// arms the hpsum_flight event recorder and exports the run's timeline as
-// Chrome trace-event JSON (or the binary dump for FILE ending ".bin").
-// --pulse[=FILE] arms the hpsum_pulse background sampler (JSONL stream,
-// default pulse.jsonl; --pulse-interval-ms=N and --pulse-prom=FILE refine
-// it). --health[=FILE] evaluates the run's telemetry through the
-// src/audit health rules and prints the indicator report as JSON.
+// The telemetry flags are the library's front door (audit/telemetry.hpp),
+// shared with every bench harness: --metrics[=FILE] dumps the runtime
+// telemetry snapshot (scatter fast-path deposits, carry-chain
+// distribution, status raises; see docs/OBSERVABILITY.md) as JSON,
+// --flight[=FILE] exports the run's timeline as Chrome trace-event JSON,
+// --pulse[=FILE] streams JSONL ticks (default pulse.jsonl;
+// --pulse-interval-ms=N and --pulse-prom=FILE refine it). A bare flag
+// writes to stdout. --health[=FILE] evaluates the run's telemetry through
+// the src/audit health rules and prints the indicator report as JSON.
 //
 // --shards=P additionally re-runs the reduction through the engine's
 // sharded sink: P depositor threads stream the data into P engine shards
@@ -39,9 +39,11 @@
 // Exit status: 0 on success, 1 on a token outside the grammar (the
 // message names it and its 1-based position), a read error on stdin, an
 // unknown flag, a flag value that does not parse (`--shards=2x`), a
-// negative --shards (flags are checked before stdin is read), a failed
-// --metrics/--flight/--health FILE write, or an engine-routed total that
-// is not bit-identical to the sequential reference.
+// negative --shards or a --snapshot-every or --pulse-interval-ms that is
+// not positive (flags are checked before stdin is read), a --pulse stream
+// that cannot be opened, a failed --metrics/--flight/--health FILE write,
+// or an engine-routed total that is not bit-identical to the sequential
+// reference.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -52,13 +54,13 @@
 
 #include "audit/audit.hpp"
 #include "audit/health.hpp"
+#include "audit/telemetry.hpp"
 #include "backends/scaling.hpp"
 #include "core/hp_dyn.hpp"
 #include "core/hp_plan.hpp"
 #include "core/reduce.hpp"
 #include "engine/engine.hpp"
 #include "trace/flight.hpp"
-#include "trace/pulse.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 
@@ -66,18 +68,22 @@ int main(int argc, char** argv) {
   using namespace hpsum;
   try {
     const util::Args args(argc, argv,
-                          {"metrics", "flight", "pulse", "pulse-interval-ms",
-                           "pulse-prom", "health", "shards",
-                           "snapshot-every"});
-    // Every integer flag is read before stdin, so a bad value fails fast
-    // with no output.
-    const auto interval_ms = args.get_int("pulse-interval-ms", 250);
+                          audit::with_telemetry_flags(
+                              {"health", "shards", "snapshot-every"}));
+    // Every flag is read and checked before stdin, so a bad value fails
+    // fast with no output.
+    const audit::Telemetry telemetry(args);
     const auto shards_arg = args.get_int("shards", 0);
     const auto chunk_arg = args.get_int("snapshot-every", 4096);
     if (shards_arg < 0) {
       throw std::invalid_argument(
           "--shards: expected a non-negative integer, got " +
           std::to_string(shards_arg));
+    }
+    if (chunk_arg <= 0) {
+      throw std::invalid_argument(
+          "--snapshot-every: expected a positive integer, got " +
+          std::to_string(chunk_arg));
     }
 
     std::vector<double> xs;
@@ -93,22 +99,10 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    if (!args.get_string("flight", "").empty()) trace::flight::arm();
-    const std::string pulse = args.get_string("pulse", "");
-    if (!pulse.empty()) {
-      trace::pulse::Config pcfg;
-      if (pulse != "true") pcfg.jsonl_path = pulse;
-      pcfg.interval = std::chrono::milliseconds(interval_ms > 0 ? interval_ms
-                                                                : 250);
-      pcfg.prom_path = args.get_string("pulse-prom", "");
-      if (!trace::pulse::arm(pcfg) && trace::enabled()) {
-        std::fprintf(stderr,
-                     "exact_sum_cli: could not start --pulse sampler on %s\n",
-                     pcfg.jsonl_path.c_str());
-        return 1;
-      }
-    } else {
-      trace::pulse::arm_from_env();
+    if (const std::string err = telemetry.arm("exact_sum_cli");
+        !err.empty()) {
+      std::fputs(err.c_str(), stderr);
+      return 1;
     }
     if (xs.empty()) {
       std::printf("no input values; sum = 0\n");
@@ -132,8 +126,7 @@ int main(int argc, char** argv) {
 
     const auto shards = static_cast<std::size_t>(shards_arg);
     if (shards > 0) {
-      const auto chunk =
-          chunk_arg > 0 ? static_cast<std::size_t>(chunk_arg) : 4096;
+      const auto chunk = static_cast<std::size_t>(chunk_arg);
       engine::ShardSet<engine::DynSum> sink(shards, engine::DynSum(cfg));
       std::atomic<bool> done{false};
       std::atomic<std::uint64_t> live_snaps{0};
@@ -191,7 +184,6 @@ int main(int argc, char** argv) {
                           .value_or(0)));
     }
 
-    trace::pulse::disarm();
     const std::string health = args.get_string("health", "");
     if (!health.empty()) {
       const std::string json = audit::health_report_json();
@@ -209,30 +201,9 @@ int main(int argc, char** argv) {
         std::fclose(f);
       }
     }
-    const std::string metrics = args.get_string("metrics", "");
-    if (!metrics.empty()) {
-      const std::string path = metrics == "true" ? "" : metrics;
-      if (!trace::write_json(path)) {
-        std::fprintf(stderr,
-                     "exact_sum_cli: could not write --metrics file %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
-    const std::string flight = args.get_string("flight", "");
-    if (!flight.empty()) {
-      const std::string path = flight == "true" ? "" : flight;
-      const bool binary = path.size() >= 4 &&
-                          path.compare(path.size() - 4, 4, ".bin") == 0;
-      const bool ok = binary ? trace::flight::dump_binary(path)
-                             : trace::flight::dump_chrome_json(path);
-      if (!ok) {
-        std::fprintf(stderr,
-                     "exact_sum_cli: could not write --flight file %s\n",
-                     path.c_str());
-        return 1;
-      }
-    }
+    const std::string err = telemetry.finish("exact_sum_cli");
+    std::fputs(err.c_str(), stderr);
+    if (!err.empty()) return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "exact_sum_cli: %s\n", e.what());
     return 1;

@@ -25,7 +25,7 @@ std::uint64_t now_ns() noexcept {
 }
 
 /// Packs/unpacks the non-timestamp header word of a record: id in the low
-/// 16 bits, phase in the next 16, reserved zeros above.
+/// 16 bits, phase in the next 16, zeros above.
 constexpr std::uint64_t pack_header(EventId id, Phase ph) noexcept {
   return static_cast<std::uint64_t>(id) |
          (static_cast<std::uint64_t>(ph) << 16);
@@ -145,11 +145,13 @@ bool env_wants_arming() noexcept {
          !(v[0] == '0' && v[1] == '\0');
 }
 
+/// The last reduction id a ReductionScope allocated.
+std::atomic<std::uint64_t> g_next_reduction_id{0};
+
 #endif  // HPSUM_TRACE_ENABLED
 
 /// The ambient correlation key (see ReductionScope). Process-global by
 /// design: the PEs of a reduction are different threads from the driver.
-std::atomic<std::uint64_t> g_next_reduction_id{0};
 std::atomic<std::uint64_t> g_ambient_reduction_id{0};
 
 /// JSON string escaping for track labels (short internal names, but keep
@@ -244,24 +246,8 @@ void append_args(std::string& out, const Event& e) {
   out += '}';
 }
 
-/// Little-endian binary writers: the dump format is pinned LE so
-/// tools/flight2chrome.py decodes it with a fixed struct layout.
-void put_u16(std::string& out, std::uint16_t v) {
-  out += static_cast<char>(v & 0xff);
-  out += static_cast<char>((v >> 8) & 0xff);
-}
-void put_u32(std::string& out, std::uint32_t v) {
-  put_u16(out, static_cast<std::uint16_t>(v & 0xffff));
-  put_u16(out, static_cast<std::uint16_t>(v >> 16));
-}
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffull));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-bool write_file(const std::string& path, const std::string& body,
-                bool binary) {
-  std::FILE* f = std::fopen(path.c_str(), binary ? "wb" : "w");
+bool write_file(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
   std::fclose(f);
@@ -334,13 +320,9 @@ std::uint64_t current_reduction_id() noexcept {
   return g_ambient_reduction_id.load(std::memory_order_relaxed);
 }
 
-std::uint64_t next_reduction_id() noexcept {
-  return g_next_reduction_id.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 ReductionScope::ReductionScope(std::uint64_t items) noexcept {
 #if HPSUM_TRACE_ENABLED
-  id_ = next_reduction_id();
+  id_ = g_next_reduction_id.fetch_add(1, std::memory_order_relaxed) + 1;
   items_ = items;
   prev_ = g_ambient_reduction_id.exchange(id_, std::memory_order_relaxed);
   emit(EventId::kReduction, Phase::kBegin, id_, items_);
@@ -487,34 +469,7 @@ bool dump_chrome_json(const std::string& path) {
     std::fputs(json.c_str(), stdout);
     return true;
   }
-  return write_file(path, json, /*binary=*/false);
-}
-
-bool dump_binary(const std::string& path) {
-  if (path.empty() || path == "-") return false;
-  const std::vector<ThreadEvents> threads = collect();
-  std::string out;
-  out += "HPFLIGT1";
-  put_u32(out, 1);  // format version
-  put_u32(out, static_cast<std::uint32_t>(threads.size()));
-  for (const ThreadEvents& te : threads) {
-    const std::string& label = te.track.label;
-    put_u16(out, static_cast<std::uint16_t>(
-                     label.size() > 0xffff ? 0xffff : label.size()));
-    out.append(label.data(), label.size() > 0xffff ? 0xffff : label.size());
-    put_u32(out, static_cast<std::uint32_t>(te.track.pid));
-    put_u32(out, static_cast<std::uint32_t>(te.track.tid));
-    put_u64(out, te.events.size());
-    for (const Event& e : te.events) {
-      put_u64(out, e.ts_ns);
-      put_u16(out, e.id);
-      put_u16(out, e.phase);
-      put_u32(out, e.reserved);
-      put_u64(out, e.arg0);
-      put_u64(out, e.arg1);
-    }
-  }
-  return write_file(path, out, /*binary=*/true);
+  return write_file(path, json);
 }
 
 void reset() noexcept {

@@ -4,16 +4,16 @@
 // nanoseconds. It cannot answer "when, in what order, on which PE" — which
 // is exactly the information needed to debug a cross-backend divergence or
 // a modeled-scaling anomaly. This layer is the second half of the pair:
-// per-thread ring buffers of fixed-size binary event records that can be
-// exported as a Chrome trace-event timeline (Perfetto / chrome://tracing)
-// or handed to src/audit as the "last K events per thread" section of a
+// per-thread ring buffers of fixed-size event records that are exported as
+// a Chrome trace-event timeline (Perfetto / chrome://tracing) or handed to
+// src/audit as the "last K events per thread" section of a
 // first-divergence forensic bundle.
 //
 // Design:
-//   - Fixed-size 32-byte records: steady-clock nanosecond timestamp, event
-//     id, phase (begin/end/instant), and two u64 arguments whose meaning is
+//   - Fixed-size records: steady-clock nanosecond timestamp, event id,
+//     phase (begin/end/instant), and two u64 arguments whose meaning is
 //     per-event (see EventId). docs/OBSERVABILITY.md documents the
-//     taxonomy and the binary layout.
+//     taxonomy.
 //   - One lock-free ring per thread (kRingCapacity records), written only
 //     by the owning thread as relaxed atomic words — no locks, no
 //     cross-thread contention on the hot path. When the ring wraps, the
@@ -21,9 +21,9 @@
 //     `trace.flight.dropped` counter is bumped, so truncation is visible
 //     in the metrics export rather than silent.
 //   - Runtime-armable: the recorder is OFF by default; arm() / the
-//     HPSUM_FLIGHT environment variable / a bench harness's --flight flag
-//     turn it on. Disarmed, every probe is one relaxed atomic load and a
-//     predicted-not-taken branch.
+//     HPSUM_FLIGHT environment variable / the --flight flag
+//     (audit/telemetry.hpp) turn it on. Disarmed, every probe is one
+//     relaxed atomic load and a predicted-not-taken branch.
 //   - Compiled out entirely under -DHPSUM_TRACE=OFF (HPSUM_TRACE_ENABLED=0):
 //     probes become empty expressions, armed() is constant false, and the
 //     dump API stays linkable but exports an empty (still well-formed)
@@ -82,17 +82,14 @@ inline constexpr std::size_t kEventIdCount =
 /// Record phase: Chrome's "i" / "B" / "E".
 enum class Phase : std::uint16_t { kInstant = 0, kBegin = 1, kEnd = 2 };
 
-/// One binary flight record (32 bytes, little-endian in the binary dump;
-/// tools/flight2chrome.py decodes exactly this layout).
+/// One flight record.
 struct Event {
-  std::uint64_t ts_ns = 0;     ///< steady_clock nanoseconds since arming
-  std::uint16_t id = 0;        ///< EventId
-  std::uint16_t phase = 0;     ///< Phase
-  std::uint32_t reserved = 0;  ///< zero; room for a future field
+  std::uint64_t ts_ns = 0;  ///< steady_clock nanoseconds since arming
+  std::uint16_t id = 0;     ///< EventId
+  std::uint16_t phase = 0;  ///< Phase
   std::uint64_t arg0 = 0;
   std::uint64_t arg1 = 0;
 };
-static_assert(sizeof(Event) == 32, "flight records are 32-byte fixed-size");
 
 /// Stable dotted export name, e.g. "mpi.reduce".
 [[nodiscard]] std::string_view event_name(EventId id) noexcept;
@@ -191,10 +188,6 @@ class Span {
 /// ReductionScope is open).
 [[nodiscard]] std::uint64_t current_reduction_id() noexcept;
 
-/// Allocates the next process-wide monotone reduction id without opening a
-/// scope (for callers that manage their own begin/end).
-[[nodiscard]] std::uint64_t next_reduction_id() noexcept;
-
 /// Driver-side bracket for one logical reduction: allocates a fresh id,
 /// publishes it as the ambient id (restoring the previous one on exit so
 /// nested drivers stay correlated to themselves), and emits kReduction
@@ -259,11 +252,6 @@ struct ThreadEvents {
 /// Writes to_chrome_json(collect()) to `path` ("-" or "" = stdout).
 /// Returns false (writing nothing) if the file cannot be opened.
 bool dump_chrome_json(const std::string& path);
-
-/// Writes the compact binary dump ("HPFLIGT1" header; layout in
-/// docs/OBSERVABILITY.md) decoded by tools/flight2chrome.py. Returns false
-/// if the file cannot be opened ("-"/"" is invalid for binary output).
-bool dump_binary(const std::string& path);
 
 /// Drops every retained event (live rings rewind, retired rings are
 /// freed). Like trace::reset(): for tests and bench warmup isolation;

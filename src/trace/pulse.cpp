@@ -3,7 +3,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <thread>
 
@@ -129,24 +128,6 @@ bool arm(const Config& cfg) {
   s.worker = std::thread([&s] { run(s); });
   s.armed.store(true, std::memory_order_relaxed);
   return true;
-}
-
-bool arm_from_env() {
-  const char* path = std::getenv("HPSUM_PULSE");
-  if (path == nullptr || path[0] == '\0' ||
-      (path[0] == '0' && path[1] == '\0')) {
-    return false;
-  }
-  Config cfg;
-  if (!(path[0] == '1' && path[1] == '\0')) cfg.jsonl_path = path;
-  if (const char* ms = std::getenv("HPSUM_PULSE_INTERVAL_MS")) {
-    const long v = std::strtol(ms, nullptr, 10);
-    if (v > 0) cfg.interval = std::chrono::milliseconds(v);
-  }
-  if (const char* prom = std::getenv("HPSUM_PULSE_PROM")) {
-    if (prom[0] != '\0') cfg.prom_path = prom;
-  }
-  return arm(cfg);
 }
 
 void disarm() noexcept {

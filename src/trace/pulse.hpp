@@ -12,7 +12,7 @@
 //     one line per tick carrying the per-tick *delta* of every counter and
 //     histogram (nonzero entries only; buckets as a sparse index->count
 //     map) plus the current gauge levels. `tools/hpsum_top.py` tails this
-//     live; `tools/pulse_smoke.py` validates it in CI.
+//     live; `tools/telemetry_smoke.py` validates it in CI.
 //   - Prometheus text exposition (optional): cumulative totals rewritten
 //     atomically (tmp + rename) every tick — counters as `_total`,
 //     histograms as `_bucket{le=...}`/`_sum`/`_count`, gauges as gauges.
@@ -21,16 +21,14 @@
 // once at arm() and every tick stamps epoch_ms + steady_clock delta, so a
 // wall-clock step mid-run cannot make ts_ms go backwards.
 //
-// Arming mirrors the flight recorder: explicit arm(Config), the
-// HPSUM_PULSE environment variable (value = JSONL path, or "1" for the
-// default "pulse.jsonl"; HPSUM_PULSE_INTERVAL_MS and HPSUM_PULSE_PROM
-// refine it), or a harness's --pulse flags (bench/common.hpp). disarm()
-// takes one final tick so short runs still produce a complete stream.
+// Arming is explicit: arm(Config), which the --pulse flags of
+// audit/telemetry.hpp call. disarm() takes one final tick so short runs
+// still produce a complete stream.
 //
 // Under -DHPSUM_TRACE=OFF the sampler never starts: arm() writes only the
 // stream header (with "enabled": false) and reports failure, keeping the
 // disarmed-binary cost at zero and the OFF contract testable
-// (pulse_smoke.py --expect-disabled).
+// (telemetry_smoke.py --expect-disabled).
 #pragma once
 
 #include <chrono>
@@ -59,11 +57,6 @@ struct Config {
 /// the layer is compiled out; false also when already armed or the JSONL
 /// file cannot be opened.
 bool arm(const Config& cfg);
-
-/// Arms from the environment (HPSUM_PULSE / HPSUM_PULSE_INTERVAL_MS /
-/// HPSUM_PULSE_PROM). Returns false when HPSUM_PULSE is unset/empty/"0"
-/// or arm() fails. Harnesses call this once at startup.
-bool arm_from_env();
 
 /// Stops the sampler after one final tick (so every armed run exports its
 /// end state even if shorter than one interval). Idempotent; safe to call

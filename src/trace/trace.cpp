@@ -291,17 +291,6 @@ std::string Snapshot::to_json() const {
   return out;
 }
 
-std::string Snapshot::to_csv() const {
-  std::string out = "counter,value\n";
-  for (std::size_t i = 0; i < kCounterCount; ++i) {
-    out += counter_name(static_cast<Counter>(i));
-    out += ',';
-    out += std::to_string(values[i]);
-    out += '\n';
-  }
-  return out;
-}
-
 bool write_json(const std::string& path) {
   const std::string json = snapshot().to_json();
   if (path.empty() || path == "-") {

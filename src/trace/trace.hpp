@@ -10,8 +10,8 @@
 // src/core, src/mpisim, and src/audit for exactly that reason).
 //
 // Three metric kinds share one fixed catalog-per-kind design:
-//   - Counter: named monotonic counters. Span timers are counters holding
-//     accumulated nanoseconds (ScopedTimer).
+//   - Counter: named monotonic counters (some hold accumulated
+//     nanoseconds, e.g. backends.busy_ns).
 //   - Hist: log2-bucket histograms (kHistBuckets buckets; bucket 0 holds
 //     value 0, bucket i>=1 holds values with bit_width == i, the last
 //     bucket absorbs the tail) plus an exact count and sum per histogram —
@@ -376,35 +376,9 @@ constexpr void count_carry_chain(int len) noexcept {
 #endif
 }
 
-/// Span timer: accumulates elapsed nanoseconds into `c` on destruction.
-/// Compiles to nothing when the layer is off.
-class ScopedTimer {
- public:
-#if HPSUM_TRACE_ENABLED
-  explicit ScopedTimer(Counter c) noexcept
-      : c_(c), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    bump(c_, static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
-  }
-#else
-  explicit ScopedTimer(Counter) noexcept {}
-#endif
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-#if HPSUM_TRACE_ENABLED
-  Counter c_;
-  std::chrono::steady_clock::time_point start_;
-#endif
-};
-
 /// Distribution timer: observes elapsed nanoseconds into a histogram on
-/// destruction (one observation per scope, vs ScopedTimer's running
-/// total). Compiles to nothing when the layer is off.
+/// destruction (one observation per scope). Compiles to nothing when the
+/// layer is off.
 class HistTimer {
  public:
 #if HPSUM_TRACE_ENABLED
@@ -469,9 +443,6 @@ struct Snapshot {
   ///  "histograms": {name: {"buckets": [...], "count": c, "sum": s}, ...},
   ///  "gauges": {name: value, ...}}
   [[nodiscard]] std::string to_json() const;
-  /// "counter,value\n" rows with a header line (counters only; histograms
-  /// and gauges export through to_json / the pulse plane).
-  [[nodiscard]] std::string to_csv() const;
 };
 
 /// Aggregates all shards. Safe to call concurrently with active probes;

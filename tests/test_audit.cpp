@@ -1,17 +1,23 @@
-// Tests for the order-sensitivity audit and the first-divergence
-// forensics (compare_limbs / forensic bundles).
+// Tests for the order-sensitivity audit, the first-divergence forensics
+// (compare_limbs / forensic bundles) and the telemetry flags' front door
+// (audit/telemetry.hpp).
 #include "audit/audit.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "audit/telemetry.hpp"
 #include "core/hp_dyn.hpp"
 #include "core/reduce.hpp"
 #include "trace/flight.hpp"
+#include "trace/pulse.hpp"
+#include "util/cli.hpp"
 #include "workload/workload.hpp"
 
 namespace hpsum::audit {
@@ -176,6 +182,119 @@ TEST(AuditForensics, WriteBundleToFileAndFailurePath) {
   EXPECT_NE(content.find("\"hpsum_forensic\": 1"), std::string::npos);
   EXPECT_FALSE(
       write_forensic_bundle("/nonexistent-dir/bundle.json", report));
+}
+
+// --- the telemetry flags (audit/telemetry.hpp) ------------------------------
+
+/// util::Args over `flags` (argv[0] is a program name), built the way every
+/// harness and exact_sum_cli build theirs.
+util::Args telemetry_args(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& f : flags) argv.push_back(f.data());
+  return util::Args(static_cast<int>(argv.size()), argv.data(),
+                    with_telemetry_flags({"n"}));
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(TelemetryFlags, KnownListIsTheProgramsFlagsThenTheFive) {
+  EXPECT_EQ(with_telemetry_flags({"n", "seed"}),
+            (std::vector<std::string>{"n", "seed", "metrics", "flight",
+                                      "pulse", "pulse-interval-ms",
+                                      "pulse-prom"}));
+}
+
+TEST(TelemetryFlags, PulseIntervalMustBeAPositiveInteger) {
+  for (const char* bad : {"0", "-3", "abc", "5ms"}) {
+    const util::Args args =
+        telemetry_args({std::string("--pulse-interval-ms=") + bad});
+    try {
+      const Telemetry telemetry(args);
+      ADD_FAILURE() << "accepted --pulse-interval-ms=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--pulse-interval-ms"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(Telemetry(telemetry_args({"--pulse-interval-ms=1"})));
+}
+
+TEST(TelemetryFlags, NoFlagsArmNothingAndExportNothing) {
+  const Telemetry telemetry(telemetry_args({"--n=5"}));
+  EXPECT_EQ(telemetry.arm("test"), "");
+  EXPECT_FALSE(trace::flight::armed());
+  EXPECT_FALSE(trace::pulse::armed());
+  EXPECT_EQ(telemetry.finish("test"), "");
+}
+
+TEST(TelemetryFlags, FinishWritesMetricsAndChromeJsonForAnyFlightPath) {
+  const std::string dir = ::testing::TempDir();
+  const std::string metrics = dir + "hpsum_front_door_metrics.json";
+  // A .bin path gets the one timeline format like any other path.
+  const std::string flight = dir + "hpsum_front_door_flight.bin";
+  const Telemetry telemetry(
+      telemetry_args({"--metrics=" + metrics, "--flight=" + flight}));
+  ASSERT_EQ(telemetry.arm("test"), "");
+  EXPECT_EQ(trace::flight::armed(), trace::enabled());
+  ASSERT_EQ(telemetry.finish("test"), "");
+  trace::flight::disarm();
+  trace::flight::reset();
+  EXPECT_NE(slurp(metrics).find("\"hpsum_trace\": 2"), std::string::npos);
+  EXPECT_EQ(slurp(flight).rfind("{\"traceEvents\": [", 0), 0u);
+  std::remove(metrics.c_str());
+  std::remove(flight.c_str());
+}
+
+TEST(TelemetryFlags, FinishReportsEveryFailedWrite) {
+  const Telemetry telemetry(telemetry_args(
+      {"--metrics=/no-such-dir/m.json", "--flight=/no-such-dir/f.json"}));
+  EXPECT_EQ(telemetry.finish("prog"),
+            "prog: could not write --metrics file /no-such-dir/m.json\n"
+            "prog: could not write --flight file /no-such-dir/f.json\n");
+  trace::flight::disarm();
+}
+
+TEST(TelemetryFlags, PulseFlagsConfigureTheSampler) {
+  const std::string jsonl = ::testing::TempDir() + "hpsum_front_door.jsonl";
+  const Telemetry telemetry(
+      telemetry_args({"--pulse=" + jsonl, "--pulse-interval-ms=7"}));
+  ASSERT_EQ(telemetry.arm("test"), "");
+  EXPECT_EQ(trace::pulse::armed(), trace::enabled());
+  ASSERT_EQ(telemetry.finish("test"), "");
+  EXPECT_FALSE(trace::pulse::armed());
+  EXPECT_NE(slurp(jsonl).find("\"interval_ms\": 7"), std::string::npos);
+  std::remove(jsonl.c_str());
+}
+
+TEST(TelemetryFlags, DestructorStopsTheSamplerItStarted) {
+  // An early return must not leave the sampler thread unjoined (that
+  // aborts the process at exit).
+  const std::string jsonl = ::testing::TempDir() + "hpsum_front_door_d.jsonl";
+  {
+    const Telemetry telemetry(telemetry_args({"--pulse=" + jsonl}));
+    ASSERT_EQ(telemetry.arm("test"), "");
+    EXPECT_EQ(trace::pulse::armed(), trace::enabled());
+  }
+  EXPECT_FALSE(trace::pulse::armed());
+  std::remove(jsonl.c_str());
+}
+
+TEST(TelemetryFlags, UnopenablePulseStreamFailsArmingWhenTraceIsOn) {
+  const Telemetry telemetry(
+      telemetry_args({"--pulse=/nonexistent-dir/p.jsonl"}));
+  EXPECT_EQ(telemetry.arm("prog"),
+            trace::enabled()
+                ? "prog: could not start --pulse sampler on "
+                  "/nonexistent-dir/p.jsonl\n"
+                : "");
+  EXPECT_FALSE(trace::pulse::armed());
 }
 
 }  // namespace

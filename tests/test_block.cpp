@@ -469,6 +469,30 @@ TEST(BlockSimd, DispatchLevelIsCoherent) {
   EXPECT_STRNE(kernel::simd::level_name(level), "unknown");
 }
 
+TEST(BlockSimd, FacadeTakesTheAvx2PathWhenDispatched) {
+  // The differential tests above pass whether or not block_accumulate
+  // reaches the vector kernel; this pins that it does, through the public
+  // HpFixed facade, on every AVX2 host of a trace build.
+  if constexpr (!trace::enabled()) {
+    GTEST_SKIP() << "HPSUM_TRACE=OFF: the SIMD deposit counter is compiled out";
+  }
+  if (kernel::simd::active_level() != kernel::simd::Level::kAvx2) {
+    GTEST_SKIP() << "dispatch level is "
+                 << kernel::simd::level_name(kernel::simd::active_level());
+  }
+  util::Xoshiro256ss rng(0xA7F2);
+  std::vector<double> xs(256);
+  for (auto& x : xs) x = rng.uniform01() - 0.5;  // the paper's uniform set
+  const trace::Snapshot before = trace::snapshot();
+  HpFixed<3, 2> hp;
+  hp.accumulate(xs);
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  EXPECT_GT(d.value(trace::Counter::kBlockSimdDeposits), 0u);
+  HpFixed<3, 2> scalar;
+  for (const double x : xs) scalar += x;
+  EXPECT_EQ(hp, scalar);
+}
+
 // ---------------------------------------------------------------------------
 // The deferral gate itself. A deposit is deferred while
 // base + bit_width(pending) <= 64n-1 and pending < kBlockMaxPending, so

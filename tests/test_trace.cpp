@@ -63,7 +63,7 @@ TEST(TraceCatalog, NamesAreStableUniqueAndDotted) {
     EXPECT_NE(name.find('.'), std::string::npos) << name;
     EXPECT_TRUE(seen.insert(name).second) << "duplicate name: " << name;
   }
-  // Spot-check the names the metrics-smoke schema validation relies on.
+  // Spot-check the names the telemetry-smoke schema validation relies on.
   EXPECT_EQ(trace::counter_name(trace::Counter::kScatterAddCalls),
             "core.scatter_add.calls");
   EXPECT_EQ(trace::counter_name(trace::Counter::kAtomicCasRetries),
@@ -365,20 +365,16 @@ TEST(TraceConcurrency, SnapshotUnderHammeringIsMonotoneAndComplete) {
   expect_count(d, trace::Counter::kAtomicCasAdds, total);
 }
 
-TEST(TraceExport, JsonAndCsvCarryEveryCounter) {
-  const trace::Snapshot snap = trace::snapshot();
-  const std::string json = snap.to_json();
-  const std::string csv = snap.to_csv();
+TEST(TraceExport, JsonCarriesEveryCounter) {
+  const std::string json = trace::snapshot().to_json();
   EXPECT_NE(json.find("\"hpsum_trace\": 2"), std::string::npos);
   EXPECT_NE(json.find(trace::enabled() ? "\"enabled\": true"
                                        : "\"enabled\": false"),
             std::string::npos);
-  EXPECT_EQ(csv.compare(0, 14, "counter,value\n"), 0);
   for (std::size_t i = 0; i < trace::kCounterCount; ++i) {
     const auto name =
         std::string(trace::counter_name(static_cast<trace::Counter>(i)));
     EXPECT_NE(json.find('"' + name + '"'), std::string::npos) << name;
-    EXPECT_NE(csv.find('\n' + name + ','), std::string::npos) << name;
   }
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
@@ -408,34 +404,6 @@ TEST(TraceExport, WriteJsonToFileAndFailurePath) {
   EXPECT_EQ(std::fopen("/nonexistent-dir/trace.json", "rb"), nullptr);
   // A directory path cannot be opened for writing either.
   EXPECT_FALSE(trace::write_json(::testing::TempDir()));
-}
-
-TEST(TraceExport, CsvSchemaIsExactlyHeaderPlusOneRowPerCounter) {
-  const std::string csv = trace::snapshot().to_csv();
-  // Line 0 is the fixed header; lines 1..kCounterCount are "name,value" in
-  // catalog order; nothing follows the final newline.
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < csv.size()) {
-    const std::size_t nl = csv.find('\n', start);
-    ASSERT_NE(nl, std::string::npos) << "csv must end with a newline";
-    lines.push_back(csv.substr(start, nl - start));
-    start = nl + 1;
-  }
-  ASSERT_EQ(lines.size(), 1 + trace::kCounterCount);
-  EXPECT_EQ(lines[0], "counter,value");
-  for (std::size_t i = 0; i < trace::kCounterCount; ++i) {
-    const std::string& row = lines[i + 1];
-    const auto c = static_cast<trace::Counter>(i);
-    const std::string name(trace::counter_name(c));
-    ASSERT_GT(row.size(), name.size() + 1) << row;
-    EXPECT_EQ(row.compare(0, name.size() + 1, name + ','), 0) << row;
-    const std::string value = row.substr(name.size() + 1);
-    EXPECT_FALSE(value.empty()) << row;
-    for (const char ch : value) {
-      EXPECT_TRUE(ch >= '0' && ch <= '9') << row;
-    }
-  }
 }
 
 TEST(TraceDeltas, DeltaSinceSaturatesInsteadOfWrapping) {

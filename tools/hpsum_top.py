@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """hpsum_top — a live terminal dashboard over the hpsum_pulse JSONL stream.
 
-Tails the stream a binary running with --pulse=FILE (or HPSUM_PULSE)
-appends to, and renders a refreshing top-style view:
+Tails the stream a binary running with --pulse=FILE appends to, and
+renders a refreshing top-style view:
 
   * per-tick counter *rates* (delta / tick wall time) for the busiest
     counters, plus cumulative totals accumulated from the deltas,
@@ -36,7 +36,8 @@ SPARK = " .:-=+*#%@"
 
 # The health-rule catalog, mirroring src/audit/health.cpp (name,
 # numerator counters, denominator counters, warn_at, fail_at,
-# higher_is_better, na_when_equal).
+# higher_is_better, na_when_equal). tools/telemetry_smoke.py checks the
+# names, thresholds and directions against `exact_sum_cli --health`.
 HEALTH_RULES = [
     ("scatter.fast_path_coverage",
      ["core.scatter_add.calls"],
