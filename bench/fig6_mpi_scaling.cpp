@@ -10,6 +10,15 @@
 // then a single Reduce with the method's registered Op combines the
 // partials at rank 0. Modeled wallclock = max rank busy + root combine.
 //
+// Known timing fault (not fixed): the root combine is a thread-CPU timer
+// across a blocking Comm::reduce. Under the multiplexed engine (--mode=mux,
+// and auto above 128 ranks) the root's worker thread runs other ranks'
+// fibers while the root waits, so the timer also absorbs the local phases
+// of every rank co-scheduled on that worker. With more ranks than workers,
+// t(model) then stops falling with p and eff collapses (EXPERIMENTS.md has
+// the measurement); the run prints a one-line caveat in that case. The
+// threads engine is unaffected: a blocked rank thread burns no CPU.
+//
 // Flags: --n (default 4M; paper 32M), --maxp (default 128; mux engine
 //        supports 4096), --seed,
 //        --algo  (tree|linear|rdouble|rhalf, default tree),
@@ -262,6 +271,16 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
   bench::emit_table(table, args);
+  for (const Row& row : rows) {
+    if (row.h.stats.mode == mpisim::RunMode::kMultiplexed &&
+        row.ranks > row.h.stats.workers) {
+      std::printf("caveat: mux engine, %d ranks on %d workers: from p=%d the "
+                  "root-combine timer includes co-scheduled ranks' local "
+                  "phases, so t(model)/eff overstate the cost (see header)\n",
+                  row.ranks, row.h.stats.workers, row.ranks);
+      break;
+    }
+  }
 
   // Aggregate HP wire compression over the points that actually send
   // messages (p >= 2); p = 1 reduces in place.

@@ -22,8 +22,8 @@
 //
 // The telemetry flags are the library's front door (audit/telemetry.hpp),
 // shared with every bench harness: --metrics[=FILE] dumps the runtime
-// telemetry snapshot (scatter fast-path deposits, carry-chain
-// distribution, status raises; see docs/OBSERVABILITY.md) as JSON,
+// telemetry snapshot (block-path deposits, carry-chain distribution,
+// status raises; see docs/OBSERVABILITY.md) as JSON,
 // --flight[=FILE] exports the run's timeline as Chrome trace-event JSON,
 // --pulse[=FILE] streams JSONL ticks (default pulse.jsonl;
 // --pulse-interval-ms=N and --pulse-prom=FILE refine it). A bare flag
@@ -63,6 +63,18 @@
 #include "trace/flight.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
+
+namespace {
+
+/// Writes the requested --metrics/--flight exports (every exit after the
+/// telemetry is armed goes through here); 1 if a write failed.
+int finish(const hpsum::audit::Telemetry& telemetry) {
+  const std::string err = telemetry.finish("exact_sum_cli");
+  std::fputs(err.c_str(), stderr);
+  return err.empty() ? 0 : 1;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace hpsum;
@@ -106,7 +118,7 @@ int main(int argc, char** argv) {
     }
     if (xs.empty()) {
       std::printf("no input values; sum = 0\n");
-      return 0;
+      return finish(telemetry);
     }
 
     const SumPlan plan = plan_for_data(xs);
@@ -174,10 +186,10 @@ int main(int argc, char** argv) {
       // Name-based lookup (counter_from_name under the hood): the CLI
       // addresses counters by their stable exported names, like external
       // consumers of the JSON schema do.
-      std::printf("audit telemetry  : %llu fast-path deposits, "
+      std::printf("audit telemetry  : %llu block-path deposits, "
                   "%llu status raises (inexact)\n",
                   static_cast<unsigned long long>(
-                      report.trace_delta.value("core.scatter_add.calls")
+                      report.trace_delta.value("core.block.deposits")
                           .value_or(0)),
                   static_cast<unsigned long long>(
                       report.trace_delta.value("core.status_raise.inexact")
@@ -195,18 +207,16 @@ int main(int argc, char** argv) {
           std::fprintf(stderr,
                        "exact_sum_cli: could not write --health file %s\n",
                        health.c_str());
+          (void)finish(telemetry);  // the other exports are still written
           return 1;
         }
         std::fputs(json.c_str(), f);
         std::fclose(f);
       }
     }
-    const std::string err = telemetry.finish("exact_sum_cli");
-    std::fputs(err.c_str(), stderr);
-    if (!err.empty()) return 1;
+    return finish(telemetry);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "exact_sum_cli: %s\n", e.what());
     return 1;
   }
-  return 0;
 }

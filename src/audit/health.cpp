@@ -14,7 +14,7 @@ using trace::Counter;
 struct Rule {
   std::string_view name;
   std::array<Counter, 6> num;  ///< kCount-padded counter list to sum
-  std::array<Counter, 2> den;
+  std::array<Counter, 3> den;
   double warn_at;
   double fail_at;
   bool higher_is_better;
@@ -26,26 +26,36 @@ struct Rule {
 
 constexpr Counter kPad = Counter::kCount;
 
+// Every deposit is counted exactly once, in one of three counters: the
+// block path (core.block.deposits, including its scalar fallbacks), the
+// scatter path (core.scatter_add.calls) and the reference convert+add pair
+// (core.reference_add.calls). kDeposits is their sum.
+constexpr std::array<Counter, 3> kDeposits = {Counter::kBlockDeposits,
+                                              Counter::kScatterAddCalls,
+                                              Counter::kReferenceAddCalls};
+
 // The rule catalog (docs/OBSERVABILITY.md documents each indicator;
 // tools/hpsum_top.py mirrors these ratios over the pulse stream).
 constexpr std::array<Rule, 6> kRules = {{
-    // Share of deposits that took the paper's scatter fast path. Low
+    // Share of deposits that took a fast path (block or scatter). Low
     // coverage means the workload is falling back to convert+add.
     {"scatter.fast_path_coverage",
-     {Counter::kScatterAddCalls, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kScatterAddCalls, Counter::kReferenceAddCalls},
+     {Counter::kBlockDeposits, Counter::kScatterAddCalls, kPad, kPad, kPad,
+      kPad},
+     kDeposits,
      /*warn_at=*/0.50, /*fail_at=*/0.20, /*higher_is_better=*/true},
-    // Share of block-path deposits that ran in SIMD lanes. Punts and
-    // scalar fallbacks erode the PR 7 speedup.
+    // Share of the full-width batches offered to the vector path that it
+    // deposited in SIMD lanes rather than punting to the scalar loop. Short
+    // tails and builds without the vector path offer no batches: N/A.
     {"simd.vector_coverage",
-     {Counter::kBlockSimdDeposits, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kBlockDeposits, kPad},
+     {Counter::kBlockSimdBatches, kPad, kPad, kPad, kPad, kPad},
+     {Counter::kBlockSimdBatches, Counter::kBlockSimdPunts, kPad},
      /*warn_at=*/0.50, /*fail_at=*/0.20, /*higher_is_better=*/true},
     // Failed CAS attempts per add on the shared accumulator. Sustained
     // contention says the deposit streams need more shards.
     {"atomic.cas_retry_rate",
      {Counter::kAtomicCasRetries, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kAtomicCasAdds, kPad},
+     {Counter::kAtomicCasAdds, kPad, kPad},
      /*warn_at=*/0.50, /*fail_at=*/2.00, /*higher_is_better=*/false},
     // Sticky-status raises per deposit: how often the exactness contract
     // had to flag information loss (any HpStatus bit).
@@ -53,13 +63,13 @@ constexpr std::array<Rule, 6> kRules = {{
      {Counter::kStatusConvertOverflow, Counter::kStatusAddOverflow,
       Counter::kStatusToDoubleOverflow, Counter::kStatusInexact,
       Counter::kStatusToDoubleInexact, Counter::kStatusInvalidOp},
-     {Counter::kScatterAddCalls, Counter::kReferenceAddCalls},
+     kDeposits,
      /*warn_at=*/0.25, /*fail_at=*/0.75, /*higher_is_better=*/false},
     // Encoded/raw collective payload bytes. The sparse codec's CI gate
     // demands <= 1/3; identity (codec never attached) is N/A.
     {"mpisim.wire_compression",
      {Counter::kMpisimWireEncodedBytes, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kMpisimWireRawBytes, kPad},
+     {Counter::kMpisimWireRawBytes, kPad, kPad},
      /*warn_at=*/0.50, /*fail_at=*/0.90, /*higher_is_better=*/false,
      /*na_when_equal=*/true},
     // Torn-shard re-reads per engine snapshot. Sustained retries mean
@@ -67,21 +77,13 @@ constexpr std::array<Rule, 6> kRules = {{
     // back off, or depositors should batch (fewer epoch bumps).
     {"snapshot.retry_rate",
      {Counter::kEngineSnapshotRetries, kPad, kPad, kPad, kPad, kPad},
-     {Counter::kEngineSnapshots, kPad},
+     {Counter::kEngineSnapshots, kPad, kPad},
      /*warn_at=*/0.50, /*fail_at=*/2.00, /*higher_is_better=*/false},
 }};
 
+template <std::size_t M>
 std::uint64_t sum_counters(const trace::Snapshot& snap,
-                           const std::array<Counter, 6>& cs) {
-  std::uint64_t total = 0;
-  for (const Counter c : cs) {
-    if (c != kPad) total += snap.value(c);
-  }
-  return total;
-}
-
-std::uint64_t sum_counters(const trace::Snapshot& snap,
-                           const std::array<Counter, 2>& cs) {
+                           const std::array<Counter, M>& cs) {
   std::uint64_t total = 0;
   for (const Counter c : cs) {
     if (c != kPad) total += snap.value(c);

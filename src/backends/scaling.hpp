@@ -10,7 +10,9 @@
 //
 // — the critical path a machine with >= p cores would see — alongside the
 // honest measured wallclock. Efficiency in the figure reproductions is
-// computed from modeled_wall.
+// computed from modeled_wall. Each PE's busy time and the merge time are
+// timed once, by a trace::BusyScope (trace/busy.hpp), which also folds
+// them into backends.busy_ns / backends.merge_ns.
 #pragma once
 
 #include <span>
@@ -20,27 +22,13 @@
 #include <omp.h>
 
 #include "engine/engine.hpp"
+#include "trace/busy.hpp"
 #include "trace/flight.hpp"
 #include "trace/trace.hpp"
 #include "util/omp_fence.hpp"
 #include "util/timer.hpp"
 
 namespace hpsum::backends {
-
-namespace detail {
-
-/// Folds a finished ScalingPoint's timings into the trace registry once,
-/// from the driver thread (never from inside the hot loops). A clock that
-/// misbehaves (negative delta, NaN from a bad ratio) must not poison the
-/// monotone counters, so the seconds->ns edge saturates via
-/// trace::saturating_ns instead of casting raw.
-inline void trace_point(double busy_total, double merge_time) noexcept {
-  trace::count(trace::Counter::kBackendReductions);
-  trace::count(trace::Counter::kBackendBusyNs, trace::saturating_ns(busy_total));
-  trace::count(trace::Counter::kBackendMergeNs, trace::saturating_ns(merge_time));
-}
-
-}  // namespace detail
 
 /// One strong-scaling data point.
 struct ScalingPoint {
@@ -65,6 +53,49 @@ struct ScalingPoint {
 [[nodiscard]] std::vector<std::span<const double>> partition(
     std::span<const double> xs, int p);
 
+namespace detail {
+
+/// One PE's share of a run: deposit `slice` into lane `t` under the PE's
+/// busy scope.
+template <class Acc>
+void run_pe(engine::ShardSet<Acc>& sink, std::size_t t,
+            std::span<const double> slice, double& busy, std::uint64_t rid) {
+  const trace::BusyScope scope(busy, trace::Counter::kBackendBusyNs,
+                               trace::flight::EventId::kPeBusy, rid,
+                               slice.size());
+  sink.shard(t).deposit(slice);
+}
+
+/// The master's half of a run, after every PE finished: drain the lanes
+/// under the merge scope and assemble the ScalingPoint.
+template <class Acc>
+[[nodiscard]] ScalingPoint finish_point(engine::ShardSet<Acc>& sink,
+                                        const std::vector<double>& busy,
+                                        std::uint64_t rid,
+                                        const util::WallTimer& wall) {
+  ScalingPoint out;
+  out.pes = static_cast<int>(busy.size());
+  Acc total;
+  {
+    const trace::BusyScope merge(out.merge_time,
+                                 trace::Counter::kBackendMergeNs,
+                                 trace::flight::EventId::kMerge, rid,
+                                 busy.size());
+    total = sink.drain();
+  }
+  out.value = total.result();
+  out.measured_wall = wall.seconds();
+  for (const double b : busy) {
+    out.busy_max = b > out.busy_max ? b : out.busy_max;
+    out.busy_total += b;  // hplint: allow(fp-accumulate) — wallclock stats, not summands
+  }
+  out.modeled_wall = out.busy_max + out.merge_time;
+  trace::count(trace::Counter::kBackendReductions);
+  return out;
+}
+
+}  // namespace detail
+
 /// std::thread strong-scaling reduction: each of `pes` threads deposits
 /// its slice into an engine shard, the caller thread drains the set.
 /// This is the driver for the mpisim-style and generic figures. Routing
@@ -84,41 +115,14 @@ template <class Acc>
   {
     std::vector<std::jthread> threads;
     threads.reserve(static_cast<std::size_t>(pes));
-    for (int t = 0; t < pes; ++t) {
+    for (std::size_t t = 0; t < busy.size(); ++t) {
       threads.emplace_back([&, t] {
-        trace::flight::set_track("backend", 0, t);
-        const trace::flight::Span busy_span(
-            trace::flight::EventId::kPeBusy, rid,
-            slices[static_cast<std::size_t>(t)].size());
-        util::ThreadCpuTimer cpu;
-        sink.shard(static_cast<std::size_t>(t))
-            .deposit(slices[static_cast<std::size_t>(t)]);
-        busy[static_cast<std::size_t>(t)] = cpu.seconds();
+        trace::flight::set_track("backend", 0, static_cast<int>(t));
+        detail::run_pe(sink, t, slices[t], busy[t], rid);
       });
     }
   }  // jthreads join
-
-  util::ThreadCpuTimer merge_cpu;
-  Acc total;
-  {
-    const trace::flight::Span merge_span(trace::flight::EventId::kMerge, rid,
-                                  static_cast<std::size_t>(pes));
-    total = sink.drain();
-  }
-  const double merge_time = merge_cpu.seconds();
-
-  ScalingPoint out;
-  out.pes = pes;
-  out.value = total.result();
-  out.measured_wall = wall.seconds();
-  out.merge_time = merge_time;
-  for (const double b : busy) {
-    out.busy_max = b > out.busy_max ? b : out.busy_max;
-    out.busy_total += b;  // hplint: allow(fp-accumulate) — wallclock stats, not summands
-  }
-  out.modeled_wall = out.busy_max + merge_time;
-  detail::trace_point(out.busy_total, merge_time);
-  return out;
+  return detail::finish_point(sink, busy, rid, wall);
 }
 
 /// OpenMP strong-scaling reduction (the paper's Fig 5 environment): a
@@ -139,43 +143,16 @@ template <class Acc>
   {
     const int t = omp_get_thread_num();
     if (t == 0) team = omp_get_num_threads();
-    {
-      trace::flight::set_track("omp", 0, t);
-      const trace::flight::Span busy_span(trace::flight::EventId::kPeBusy, rid,
-                                   slices[static_cast<std::size_t>(t)].size());
-      util::ThreadCpuTimer cpu;
-      sink.shard(static_cast<std::size_t>(t))
-          .deposit(slices[static_cast<std::size_t>(t)]);
-      busy[static_cast<std::size_t>(t)] = cpu.seconds();
-    }
+    trace::flight::set_track("omp", 0, t);
+    const auto pe = static_cast<std::size_t>(t);
+    detail::run_pe(sink, pe, slices[pe], busy[pe], rid);
     // Last statement of the region: publish this thread's slice reads and
     // shard/busy writes to the master's post-region merge (libgomp's own
     // end-of-region barrier is not TSan-instrumented; see omp_fence.hpp).
     fence.arrive();
   }
   fence.wait(team);
-
-  util::ThreadCpuTimer merge_cpu;
-  Acc total;
-  {
-    const trace::flight::Span merge_span(trace::flight::EventId::kMerge, rid,
-                                  static_cast<std::size_t>(pes));
-    total = sink.drain();
-  }
-  const double merge_time = merge_cpu.seconds();
-
-  ScalingPoint out;
-  out.pes = pes;
-  out.value = total.result();
-  out.measured_wall = wall.seconds();
-  out.merge_time = merge_time;
-  for (const double b : busy) {
-    out.busy_max = b > out.busy_max ? b : out.busy_max;
-    out.busy_total += b;  // hplint: allow(fp-accumulate) — wallclock stats, not summands
-  }
-  out.modeled_wall = out.busy_max + merge_time;
-  detail::trace_point(out.busy_total, merge_time);
-  return out;
+  return detail::finish_point(sink, busy, rid, wall);
 }
 
 }  // namespace hpsum::backends

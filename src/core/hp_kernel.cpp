@@ -12,7 +12,7 @@ HpStatus hp_add(util::LimbSpan a, util::ConstLimbSpan b) noexcept {
 HpStatus hp_scatter_add(util::LimbSpan limbs, const HpConfig& cfg,
                         double r) noexcept {
   assert(limbs.size() == static_cast<std::size_t>(cfg.n));
-  return detail::scatter_add_double(limbs.data(), cfg.n, cfg.k, r);
+  return kernel::scatter_add(limbs.data(), cfg.n, cfg.k, r);
 }
 
 }  // namespace hpsum

@@ -220,7 +220,6 @@ constexpr Deposit decompose_double(int n, int k, double r) noexcept {
 HPSUM_ALLOW_UNSIGNED_WRAP
 [[nodiscard]] constexpr HpStatus scatter_add_double(util::Limb* a, int n,
                                                     int k, double r) noexcept {
-  trace::count(trace::Counter::kScatterAddCalls);
   const Deposit d = decompose_double(n, k, r);
   if (!d.has_bits) {
     trace::count_status(d.st);  // no-op for the clean-zero case
@@ -289,8 +288,12 @@ __extension__ using U128 = unsigned __int128;
 }
 
 /// a += r via the fused scatter deposit (see detail::scatter_add_double).
+/// Counted as one core.scatter_add.calls deposit; the block path's scalar
+/// fallback calls the body directly, so its deposits count once, as
+/// core.block.deposits.
 [[nodiscard]] constexpr HpStatus scatter_add(util::Limb* a, int n, int k,
                                              double r) noexcept {
+  trace::count(trace::Counter::kScatterAddCalls);
   return detail::scatter_add_double(a, n, k, r);
 }
 

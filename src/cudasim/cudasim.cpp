@@ -6,28 +6,14 @@
 #include <stdexcept>
 #include <thread>
 
+#include "trace/busy.hpp"
 #include "trace/flight.hpp"
 #include "trace/trace.hpp"
 #include "util/timer.hpp"
 
-namespace {
-
-namespace flight = hpsum::trace::flight;
-
-/// Folds one launch's stats into the trace registry (host thread only).
-/// The seconds->ns edge saturates (negative/NaN -> 0) — a bad clock delta
-/// must never wrap a monotone counter.
-void trace_launch(const hpsum::cudasim::LaunchStats& stats) noexcept {
-  namespace trace = hpsum::trace;
-  trace::count(trace::Counter::kCudasimLaunches);
-  trace::count(trace::Counter::kCudasimCasRetries, stats.cas_retries);
-  trace::count(trace::Counter::kCudasimBusyNs,
-               trace::saturating_ns(stats.busy_total));
-}
-
-}  // namespace
-
 namespace hpsum::cudasim {
+
+namespace flight = trace::flight;
 
 Device::Device(DeviceProps props) : props_(std::move(props)) {
   if (props_.max_concurrent_threads < 1 || props_.sim_workers < 1 ||
@@ -71,10 +57,9 @@ void Device::memcpy_d2h(void* dst, const void* src, std::size_t bytes) {
   transfer_seconds_ += static_cast<double>(bytes) / props_.transfer_bandwidth;
 }
 
-LaunchStats Device::launch(int grid_dim, int block_dim, const Kernel& kernel) {
-  if (grid_dim < 1 || block_dim < 1) {
-    throw std::invalid_argument("cudasim: launch dims must be >= 1");
-  }
+template <class Body>
+LaunchStats Device::run_pool(int grid_dim, int block_dim, int phases,
+                             std::size_t shared_bytes, const Body& body) {
   const std::uint64_t retries_before =
       cas_retries_.load(std::memory_order_relaxed);
   const int workers = std::min(props_.sim_workers, grid_dim);
@@ -93,66 +78,10 @@ LaunchStats Device::launch(int grid_dim, int block_dim, const Kernel& kernel) {
     for (int w = 0; w < workers; ++w) {
       pool.emplace_back([&, w] {
         flight::set_track("cudasim", 0, w);
-        const flight::Span busy_span(flight::EventId::kPeBusy, rid,
+        const trace::BusyScope scope(busy[static_cast<std::size_t>(w)],
+                                     trace::Counter::kCudasimBusyNs,
+                                     flight::EventId::kPeBusy, rid,
                                      static_cast<std::uint64_t>(block_dim));
-        util::ThreadCpuTimer cpu;
-        ThreadCtx ctx;
-        ctx.block_dim = block_dim;
-        ctx.grid_dim = grid_dim;
-        for (;;) {
-          const int b = next_block.fetch_add(1, std::memory_order_relaxed);
-          if (b >= grid_dim) break;
-          ctx.block_idx = b;
-          for (int t = 0; t < block_dim; ++t) {
-            ctx.thread_idx = t;
-            kernel(ctx);
-          }
-        }
-        busy[static_cast<std::size_t>(w)] = cpu.seconds();
-      });
-    }
-  }
-
-  LaunchStats stats;
-  stats.measured_wall = wall.seconds();
-  stats.total_threads = grid_dim * block_dim;
-  for (const double b : busy) stats.busy_total += b;
-  const int effective =
-      std::min(stats.total_threads, props_.max_concurrent_threads);
-  stats.modeled_kernel_time = stats.busy_total / static_cast<double>(effective);
-  stats.cas_retries =
-      cas_retries_.load(std::memory_order_relaxed) - retries_before;
-  trace_launch(stats);
-  return stats;
-}
-
-LaunchStats Device::launch_phased(int grid_dim, int block_dim, int phases,
-                                  std::size_t shared_bytes,
-                                  const PhasedKernel& kernel) {
-  if (grid_dim < 1 || block_dim < 1 || phases < 1) {
-    throw std::invalid_argument("cudasim: launch_phased dims must be >= 1");
-  }
-  const std::uint64_t retries_before =
-      cas_retries_.load(std::memory_order_relaxed);
-  const int workers = std::min(props_.sim_workers, grid_dim);
-  std::atomic<int> next_block{0};
-  std::vector<double> busy(static_cast<std::size_t>(workers), 0.0);
-  const std::uint64_t rid = flight::current_reduction_id();
-  const flight::Span launch_span(
-      flight::EventId::kCudaLaunch, rid,
-      static_cast<std::uint64_t>(grid_dim) *
-          static_cast<std::uint64_t>(block_dim));
-
-  util::WallTimer wall;
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        flight::set_track("cudasim", 0, w);
-        const flight::Span busy_span(flight::EventId::kPeBusy, rid,
-                                     static_cast<std::uint64_t>(block_dim));
-        util::ThreadCpuTimer cpu;
         std::vector<std::byte> shared(shared_bytes);
         ThreadCtx ctx;
         ctx.block_dim = block_dim;
@@ -167,11 +96,10 @@ LaunchStats Device::launch_phased(int grid_dim, int block_dim, int phases,
           for (int phase = 0; phase < phases; ++phase) {
             for (int t = 0; t < block_dim; ++t) {
               ctx.thread_idx = t;
-              kernel(ctx, shared.data(), phase);
+              body(ctx, shared.data(), phase);
             }
           }
         }
-        busy[static_cast<std::size_t>(w)] = cpu.seconds();
       });
     }
   }
@@ -185,8 +113,28 @@ LaunchStats Device::launch_phased(int grid_dim, int block_dim, int phases,
   stats.modeled_kernel_time = stats.busy_total / static_cast<double>(effective);
   stats.cas_retries =
       cas_retries_.load(std::memory_order_relaxed) - retries_before;
-  trace_launch(stats);
+  trace::count(trace::Counter::kCudasimLaunches);
+  trace::count(trace::Counter::kCudasimCasRetries, stats.cas_retries);
   return stats;
+}
+
+LaunchStats Device::launch(int grid_dim, int block_dim, const Kernel& kernel) {
+  if (grid_dim < 1 || block_dim < 1) {
+    throw std::invalid_argument("cudasim: launch dims must be >= 1");
+  }
+  return run_pool(grid_dim, block_dim, 1, 0,
+                  [&kernel](const ThreadCtx& ctx, std::byte*, int) {
+                    kernel(ctx);
+                  });
+}
+
+LaunchStats Device::launch_phased(int grid_dim, int block_dim, int phases,
+                                  std::size_t shared_bytes,
+                                  const PhasedKernel& kernel) {
+  if (grid_dim < 1 || block_dim < 1 || phases < 1) {
+    throw std::invalid_argument("cudasim: launch_phased dims must be >= 1");
+  }
+  return run_pool(grid_dim, block_dim, phases, shared_bytes, kernel);
 }
 
 std::uint64_t Device::atomic_cas_u64(std::uint64_t* addr,

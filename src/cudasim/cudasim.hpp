@@ -148,6 +148,14 @@ class Device {
   double atomic_add_f64(double* addr, double value) noexcept;
 
  private:
+  /// The one worker-pool body behind both launches: `sim_workers` threads
+  /// pull blocks in order; each block zeroes its `shared_bytes` scratch and
+  /// runs `phases` rounds of body(ctx, shared, phase) over its threads.
+  /// Each worker's time is one trace::BusyScope (cudasim.busy_ns).
+  template <class Body>
+  LaunchStats run_pool(int grid_dim, int block_dim, int phases,
+                       std::size_t shared_bytes, const Body& body);
+
   DeviceProps props_;
   std::vector<std::unique_ptr<std::byte[]>> allocations_;
   double transfer_seconds_ = 0;

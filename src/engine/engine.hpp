@@ -51,7 +51,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -67,6 +66,7 @@
 
 #include "core/hp_dyn.hpp"
 #include "core/hp_serialize.hpp"
+#include "trace/flight.hpp"
 #include "trace/trace.hpp"
 
 // Detect a ThreadSanitizer build (GCC defines __SANITIZE_THREAD__; clang
@@ -402,8 +402,13 @@ class ShardSet {
   /// shards in registration order — for the join-then-merge drivers this
   /// reproduces the historical `for (t) total.merge(partials[t])` loop
   /// exactly, so limbs and status are bit-identical to the direct path.
+  /// Each call is one engine.snapshot span, which also feeds the
+  /// engine.snapshot.latency_ns histogram.
   [[nodiscard]] Acc snapshot() const {
-    const auto t0 = std::chrono::steady_clock::now();
+    const trace::flight::Span span(trace::flight::EventId::kEngineSnapshot,
+                                   trace::flight::current_reduction_id(),
+                                   lanes_,
+                                   trace::Hist::kEngineSnapshotLatencyNs);
     Acc total = proto_;
     std::uint64_t retries = 0;
     std::vector<std::uint64_t> buf(words_per_shard_);
@@ -419,12 +424,6 @@ class ShardSet {
     }
     trace::count(trace::Counter::kEngineSnapshots);
     trace::count(trace::Counter::kEngineSnapshotRetries, retries);
-    const auto dt = std::chrono::steady_clock::now() - t0;
-    trace::observe(
-        trace::Hist::kEngineSnapshotLatencyUs,
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(dt)
-                .count()));
     return total;
   }
 

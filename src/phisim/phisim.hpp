@@ -8,7 +8,8 @@
 // host<->device transfer. This simulator preserves both (DESIGN.md §2):
 // buffers are physically copied into a device arena with a modeled PCIe
 // transfer cost, and the compute phase is a real thread-team reduction with
-// per-thread busy accounting.
+// per-thread busy accounting (backends::run_threads, so the device threads'
+// time lands in backends.busy_ns, counted once).
 #pragma once
 
 #include <cstddef>
@@ -70,10 +71,6 @@ class OffloadDevice {
     out.merge_time = p.merge_time;
     out.modeled_wall = transfer + p.busy_max + p.merge_time;
     out.measured_wall = wall.seconds();
-    // Saturating ns conversion: a bad clock delta (negative/NaN) must not
-    // wrap the monotone counter.
-    trace::count(trace::Counter::kPhisimBusyNs,
-                 trace::saturating_ns(p.busy_total));
     return out;
   }
 

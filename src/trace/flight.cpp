@@ -14,16 +14,6 @@ namespace {
 
 #if HPSUM_TRACE_ENABLED
 
-/// Nanoseconds since the recorder's process-local epoch (captured on first
-/// use, so timelines start near zero instead of at machine uptime).
-std::uint64_t now_ns() noexcept {
-  static const auto epoch = std::chrono::steady_clock::now();
-  const auto d = std::chrono::steady_clock::now() - epoch;
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
-  return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
-}
-
 /// Packs/unpacks the non-timestamp header word of a record: id in the low
 /// 16 bits, phase in the next 16, zeros above.
 constexpr std::uint64_t pack_header(EventId id, Phase ph) noexcept {
@@ -41,10 +31,11 @@ struct Ring {
   std::atomic<std::uint64_t> w{0};
   std::array<std::atomic<std::uint64_t>, kRingCapacity * 4> words{};
 
-  void push(EventId id, Phase ph, std::uint64_t a0, std::uint64_t a1) noexcept {
+  void push(EventId id, Phase ph, std::uint64_t a0, std::uint64_t a1,
+            std::uint64_t ts_ns) noexcept {
     const std::uint64_t wi = w.load(std::memory_order_relaxed);
     const std::size_t slot = static_cast<std::size_t>(wi % kRingCapacity) * 4;
-    words[slot + 0].store(now_ns(), std::memory_order_relaxed);
+    words[slot + 0].store(ts_ns, std::memory_order_relaxed);
     words[slot + 1].store(pack_header(id, ph), std::memory_order_relaxed);
     words[slot + 2].store(a0, std::memory_order_relaxed);
     words[slot + 3].store(a1, std::memory_order_relaxed);
@@ -220,6 +211,10 @@ void append_args(std::string& out, const Event& e) {
       append_kv(out, "reduction_id", e.arg0);
       append_kv(out, "threads", e.arg1, false);
       break;
+    case EventId::kEngineSnapshot:
+      append_kv(out, "reduction_id", e.arg0);
+      append_kv(out, "lanes", e.arg1, false);
+      break;
     case EventId::kAdaptiveGrow: {
       out += "\"kind\": \"";
       out += e.arg0 == 0 ? "grow_int"
@@ -269,14 +264,26 @@ namespace detail {
 
 std::atomic<bool> g_armed{false};
 
-void record(EventId id, Phase ph, std::uint64_t a0, std::uint64_t a1) noexcept {
+/// Nanoseconds since the recorder's process-local epoch (captured on first
+/// use, so timelines start near zero instead of at machine uptime).
+std::uint64_t now_ns() noexcept {
+  static const auto epoch = std::chrono::steady_clock::now();
+  const auto d = std::chrono::steady_clock::now() - epoch;
+  const auto ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+  return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
+}
+
+void record(EventId id, Phase ph, std::uint64_t a0, std::uint64_t a1,
+            std::uint64_t ts_ns) noexcept {
 #if HPSUM_TRACE_ENABLED
-  owner().get().push(id, ph, a0, a1);
+  owner().get().push(id, ph, a0, a1, ts_ns);
 #else
   (void)id;
   (void)ph;
   (void)a0;
   (void)a1;
+  (void)ts_ns;
 #endif
 }
 
@@ -301,6 +308,7 @@ std::string_view event_name(EventId id) noexcept {
     case EventId::kPhiOffload: return "phi.offload";
     case EventId::kAdaptiveGrow: return "adaptive.grow";
     case EventId::kStatusRaise: return "status.raise";
+    case EventId::kEngineSnapshot: return "engine.snapshot";
     case EventId::kCount: break;
   }
   return "unknown";

@@ -73,6 +73,8 @@ enum class EventId : std::uint16_t {
                    ///  2 overflow recovery), arg1=new total limb count
   kStatusRaise,    ///< instant: a kernel raised sticky status. arg0=HpStatus
                    ///  mask, arg1=reduction id
+  kEngineSnapshot, ///< span: one ShardSet::snapshot merge. arg0=reduction id,
+                   ///  arg1=permanent lanes
   kCount           ///< sentinel, keep last
 };
 
@@ -113,9 +115,15 @@ namespace detail {
 /// count_status() hook in trace.hpp inline the single relaxed load.
 extern std::atomic<bool> g_armed;
 
-/// Appends one record to the calling thread's ring (allocating and
-/// registering the ring on first use). Only called while armed.
-void record(EventId id, Phase ph, std::uint64_t a0, std::uint64_t a1) noexcept;
+/// The recorder's clock: steady_clock nanoseconds since the process-local
+/// epoch (the Event::ts_ns time base).
+[[nodiscard]] std::uint64_t now_ns() noexcept;
+
+/// Appends one record stamped `ts_ns` to the calling thread's ring
+/// (allocating and registering the ring on first use). Only called while
+/// armed.
+void record(EventId id, Phase ph, std::uint64_t a0, std::uint64_t a1,
+            std::uint64_t ts_ns) noexcept;
 
 }  // namespace detail
 
@@ -140,7 +148,7 @@ constexpr void emit(EventId id, Phase ph, std::uint64_t a0 = 0,
                     std::uint64_t a1 = 0) noexcept {
 #if HPSUM_TRACE_ENABLED
   if (std::is_constant_evaluated()) return;
-  if (armed()) detail::record(id, ph, a0, a1);
+  if (armed()) detail::record(id, ph, a0, a1, detail::now_ns());
 #else
   (void)id;
   (void)ph;
@@ -157,21 +165,32 @@ constexpr void instant(EventId id, std::uint64_t a0 = 0,
 
 /// RAII span: begin on construction, end on destruction, same args on both
 /// records so either survives a ring wrap with full context.
+///
+/// A span given a histogram is also the event's latency timer: in trace
+/// builds, armed or not, it observes its wall nanoseconds into `hist` on
+/// close, computed from the same two clock reads that stamp its begin and
+/// end records. Without one, a disarmed span reads no clock at all.
 class Span {
  public:
 #if HPSUM_TRACE_ENABLED
-  explicit Span(EventId id, std::uint64_t a0 = 0, std::uint64_t a1 = 0) noexcept
-      : id_(id), a0_(a0), a1_(a1) {
-    emit(id_, Phase::kBegin, a0_, a1_);
+  explicit Span(EventId id, std::uint64_t a0 = 0, std::uint64_t a1 = 0,
+                Hist hist = Hist::kCount) noexcept
+      : id_(id), hist_(hist), a0_(a0), a1_(a1) {
+    const bool on = armed();
+    if (!on && hist_ == Hist::kCount) return;
+    t0_ = detail::now_ns();
+    if (on) detail::record(id_, Phase::kBegin, a0_, a1_, t0_);
   }
-  ~Span() { emit(id_, Phase::kEnd, a0_, a1_); }
+  ~Span() {
+    const bool on = armed();
+    if (!on && hist_ == Hist::kCount) return;
+    const std::uint64_t t1 = detail::now_ns();
+    if (on) detail::record(id_, Phase::kEnd, a0_, a1_, t1);
+    if (hist_ != Hist::kCount) observe_now(hist_, t1 - t0_);
+  }
 #else
-  explicit Span(EventId id, std::uint64_t a0 = 0,
-                std::uint64_t a1 = 0) noexcept {
-    (void)id;
-    (void)a0;
-    (void)a1;
-  }
+  explicit Span(EventId, std::uint64_t = 0, std::uint64_t = 0,
+                Hist = Hist::kCount) noexcept {}
 #endif
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -179,8 +198,10 @@ class Span {
  private:
 #if HPSUM_TRACE_ENABLED
   EventId id_;
+  Hist hist_;  ///< Hist::kCount = no latency histogram
   std::uint64_t a0_;
   std::uint64_t a1_;
+  std::uint64_t t0_ = 0;
 #endif
 };
 

@@ -135,7 +135,6 @@ std::string_view counter_name(Counter c) noexcept {
     case Counter::kCudasimBusyNs: return "cudasim.busy_ns";
     case Counter::kPhisimOffloads: return "phisim.offloads";
     case Counter::kPhisimBytesUploaded: return "phisim.bytes_uploaded";
-    case Counter::kPhisimBusyNs: return "phisim.busy_ns";
     case Counter::kEngineSnapshots: return "engine.snapshot.count";
     case Counter::kEngineSnapshotRetries: return "engine.snapshot.retries";
     case Counter::kEngineShardsRegistered: return "engine.shard.registered";
@@ -153,7 +152,7 @@ std::string_view hist_name(Hist h) noexcept {
     case Hist::kReduceLatencyNs: return "core.reduce.latency_ns";
     case Hist::kAtomicCasRetriesPerAdd: return "atomic.cas.retries_per_add";
     case Hist::kMpisimMsgBytes: return "mpisim.msg_bytes";
-    case Hist::kEngineSnapshotLatencyUs: return "engine.snapshot.latency_us";
+    case Hist::kEngineSnapshotLatencyNs: return "engine.snapshot.latency_ns";
     case Hist::kCount: break;
   }
   return "unknown";

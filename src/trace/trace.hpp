@@ -16,7 +16,9 @@
 //     value 0, bucket i>=1 holds values with bit_width == i, the last
 //     bucket absorbs the tail) plus an exact count and sum per histogram —
 //     distributions, not just totals, for carry-chain lengths, reduce_hp
-//     latency, CAS retries per add, message bytes, and flush depth.
+//     latency, CAS retries per add, message bytes, and flush depth. Every
+//     latency histogram is in nanoseconds and is fed by the flight::Span
+//     that times the event (flight.hpp), never by a second clock.
 //   - Gauge: last-write-wins current values (live limb occupancy,
 //     HpAdaptive's current (n,k)) held in process-global atomic slots; a
 //     gauge read is tear-free because it is one 64-bit relaxed load.
@@ -47,7 +49,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -96,7 +97,8 @@ enum class Counter : std::uint16_t {
   kAdaptiveGrowInt,
   kAdaptiveGrowFrac,
   kAdaptiveRecoverOverflow,
-  // backends — span timers routed through the registry (nanoseconds).
+  // backends — run_threads/run_openmp; the *_ns counters are thread-CPU
+  // nanoseconds folded in by trace::BusyScope (busy.hpp) on close.
   kBackendReductions,     ///< run_threads/run_openmp invocations
   kBackendBusyNs,         ///< summed per-PE busy time
   kBackendMergeNs,        ///< master-thread partial combines
@@ -118,11 +120,10 @@ enum class Counter : std::uint16_t {
   kCudasimCasRetries,
   kCudasimBytesH2D,
   kCudasimBytesD2H,
-  kCudasimBusyNs,
-  // phisim — offload traffic.
+  kCudasimBusyNs,         ///< summed per-worker busy time (BusyScope)
+  // phisim — offload traffic (its compute time is backends.busy_ns).
   kPhisimOffloads,
   kPhisimBytesUploaded,
-  kPhisimBusyNs,
   // engine — sharded deposit sinks (src/engine ShardSet).
   kEngineSnapshots,        ///< snapshot()/drain()/checkpoint() merge passes
   kEngineSnapshotRetries,  ///< torn-shard seqlock re-reads during merges
@@ -147,7 +148,7 @@ enum class Hist : std::uint16_t {
   kReduceLatencyNs,         ///< wall nanoseconds per reduce_hp call
   kAtomicCasRetriesPerAdd,  ///< failed CAS attempts within one HpAtomic add
   kMpisimMsgBytes,          ///< payload bytes per mpisim message
-  kEngineSnapshotLatencyUs, ///< microseconds per engine ShardSet merge pass
+  kEngineSnapshotLatencyNs, ///< wall nanoseconds per engine ShardSet merge pass
   kCount  ///< sentinel, keep last
 };
 
@@ -207,18 +208,6 @@ inline constexpr std::size_t kGaugeCount =
 [[nodiscard]] constexpr std::uint64_t hist_bucket_le(std::size_t i) noexcept {
   if (i + 1 >= kHistBuckets) return ~std::uint64_t{0};
   return (std::uint64_t{1} << i) - 1;
-}
-
-/// Converts a duration in seconds to whole nanoseconds, clamping the
-/// garbage cases a monotonic counter must never see: negative and NaN map
-/// to 0, overflow saturates at uint64 max. This is the one sanctioned
-/// seconds->ns edge for counter bumps (backends::detail::trace_point,
-/// cudasim launch accounting, phisim offload spans).
-[[nodiscard]] constexpr std::uint64_t saturating_ns(double seconds) noexcept {
-  const double ns = seconds * 1e9;
-  if (!(ns > 0.0)) return 0;  // negative, zero, and NaN all land here
-  if (ns >= 18446744073709551616.0) return ~std::uint64_t{0};  // >= 2^64
-  return static_cast<std::uint64_t>(ns);
 }
 
 /// True when probes are compiled in (HPSUM_TRACE_ENABLED in this TU).
@@ -375,33 +364,6 @@ constexpr void count_carry_chain(int len) noexcept {
   (void)len;
 #endif
 }
-
-/// Distribution timer: observes elapsed nanoseconds into a histogram on
-/// destruction (one observation per scope). Compiles to nothing when the
-/// layer is off.
-class HistTimer {
- public:
-#if HPSUM_TRACE_ENABLED
-  explicit HistTimer(Hist h) noexcept
-      : h_(h), start_(std::chrono::steady_clock::now()) {}
-  ~HistTimer() {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - start_)
-                        .count();
-    observe_now(h_, static_cast<std::uint64_t>(ns < 0 ? 0 : ns));
-  }
-#else
-  explicit HistTimer(Hist) noexcept {}
-#endif
-  HistTimer(const HistTimer&) = delete;
-  HistTimer& operator=(const HistTimer&) = delete;
-
- private:
-#if HPSUM_TRACE_ENABLED
-  Hist h_;
-  std::chrono::steady_clock::time_point start_;
-#endif
-};
 
 /// A point-in-time aggregate of every metric across all threads (live
 /// shards + retired totals; gauges read from their process-global slots).

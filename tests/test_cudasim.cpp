@@ -10,6 +10,7 @@
 
 #include "core/reduce.hpp"
 #include "cudasim/hp_kernels.hpp"
+#include "trace/trace.hpp"
 #include "workload/workload.hpp"
 
 namespace hpsum::cudasim {
@@ -118,6 +119,49 @@ TEST(Cudasim, ModeledTimeUsesOccupancyCap) {
   // 32768 threads: capped at 2496 — the Fig 7 plateau.
   EXPECT_NEAR(big.modeled_kernel_time, big.busy_total / 2496.0, 1e-12);
   dev.dfree(sink);
+}
+
+// Both launch flavours run on the one worker pool, so both must fill every
+// LaunchStats field the same way and fold the same telemetry.
+TEST(Cudasim, LaunchAndPhasedLaunchFillEveryStatsField) {
+  Device dev;  // cap 2496
+  auto* word = static_cast<std::uint64_t*>(dev.dmalloc(sizeof(std::uint64_t)));
+  const auto check = [&](const auto& launch_once) {
+    const trace::Snapshot before = trace::snapshot();
+    const LaunchStats st = launch_once();
+    const trace::Snapshot d = trace::snapshot().delta_since(before);
+    EXPECT_EQ(st.total_threads, 16 * 64);
+    EXPECT_GT(st.measured_wall, 0.0);
+    EXPECT_GT(st.busy_total, 0.0);
+    EXPECT_EQ(st.modeled_kernel_time, st.busy_total / (16.0 * 64.0));
+    if constexpr (trace::enabled()) {
+      EXPECT_EQ(d.value(trace::Counter::kCudasimLaunches), 1u);
+      EXPECT_EQ(d.value(trace::Counter::kCudasimCasRetries), st.cas_retries);
+      // Per-worker ns are summed as integers, busy_total as doubles.
+      EXPECT_NEAR(static_cast<double>(d.value(trace::Counter::kCudasimBusyNs)),
+                  st.busy_total * 1e9, 4.0);
+    }
+  };
+  check([&] {
+    return dev.launch(16, 64, [&](const ThreadCtx&) {
+      dev.atomic_add_u64_cas(word, 1);
+    });
+  });
+  check([&] {
+    return dev.launch_phased(
+        16, 64, 2, 8, [&](const ThreadCtx& ctx, std::byte* shared, int phase) {
+          if (phase == 0 && ctx.thread_idx == 0) {
+            EXPECT_EQ(shared[0], std::byte{0});  // zeroed per block
+          }
+          if (phase == 0) shared[0] = std::byte{1};
+          if (phase == 1) {
+            EXPECT_EQ(shared[0], std::byte{1});
+          }
+          dev.atomic_add_u64_cas(word, 1);
+        });
+  });
+  EXPECT_EQ(*word, 3u * 16 * 64);  // one add per thread, then two
+  dev.dfree(word);
 }
 
 TEST(Cudasim, HpAtomicKernelMatchesSequentialBitExact) {

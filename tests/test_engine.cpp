@@ -317,7 +317,8 @@ TEST(Engine, TraceCountersTrackLifecycle) {
   EXPECT_GE(d.value(trace::Counter::kEngineShardsRegistered), 3u);
   EXPECT_GE(d.value(trace::Counter::kEngineShardsRetired), 1u);
   EXPECT_GE(d.value(trace::Counter::kEngineSnapshots), 1u);
-  EXPECT_GE(d.hist(trace::Hist::kEngineSnapshotLatencyUs).count, 1u);
+  // One snapshot() call, one span-fed latency observation (in ns).
+  EXPECT_EQ(d.hist(trace::Hist::kEngineSnapshotLatencyNs).count, 1u);
 }
 
 }  // namespace

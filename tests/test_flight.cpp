@@ -6,9 +6,11 @@
 // passes in HPSUM_TRACE=OFF builds, where the recorder never records.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "trace/flight.hpp"
@@ -104,6 +106,54 @@ TEST(TraceFlightRecorder, SpanAndInstantRecordsCarryArgs) {
     EXPECT_TRUE(threads.empty());
   }
 }
+
+// A span given a histogram is the event's one latency timer.
+TEST(TraceFlightSpanHist, UnarmedSpanObservesExactlyOnce) {
+  flight::disarm();
+  flight::reset();
+  const trace::Snapshot before = trace::snapshot();
+  {
+    const flight::Span span(flight::EventId::kLocalReduce, 0, 0,
+                            trace::Hist::kReduceLatencyNs);
+  }
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  EXPECT_EQ(d.hist(trace::Hist::kReduceLatencyNs).count,
+            trace::enabled() ? 1u : 0u);
+  EXPECT_EQ(d.hist(trace::Hist::kEngineSnapshotLatencyNs).count, 0u);
+  EXPECT_TRUE(flight::collect().empty());
+}
+
+TEST(TraceFlightSpanHist, ArmedSpanObservesItsEndMinusBeginTimestamps) {
+  const ArmedScope armed;
+  flight::set_track("timed", 0, 0);
+  const trace::Snapshot before = trace::snapshot();
+  {
+    const flight::Span span(flight::EventId::kEngineSnapshot, 5, 3,
+                            trace::Hist::kEngineSnapshotLatencyNs);
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  const auto& h = d.hist(trace::Hist::kEngineSnapshotLatencyNs);
+  const auto threads = flight::collect();
+  if constexpr (trace::enabled()) {
+    const flight::ThreadEvents* te = find_track(threads, "timed");
+    ASSERT_NE(te, nullptr);
+    ASSERT_EQ(te->events.size(), 2u);
+    const flight::Event& b = te->events[0];
+    const flight::Event& e = te->events[1];
+    EXPECT_EQ(static_cast<flight::Phase>(b.phase), flight::Phase::kBegin);
+    EXPECT_EQ(static_cast<flight::Phase>(e.phase), flight::Phase::kEnd);
+    EXPECT_EQ(h.count, 1u);
+    EXPECT_EQ(h.sum, e.ts_ns - b.ts_ns);
+    EXPECT_GE(h.sum, 50'000u);
+  } else {
+    EXPECT_TRUE(threads.empty());
+    EXPECT_EQ(h.count, 0u);
+  }
+}
+
+// With the layer compiled out a span holds no state and reads no clock.
+static_assert(trace::enabled() || std::is_empty_v<flight::Span>);
 
 TEST(TraceFlightRecorder, RingDropsOldestAndCountsEveryLoss) {
   const ArmedScope armed;
@@ -253,6 +303,8 @@ TEST(TraceFlightNames, EveryEventIdHasAStableDottedName) {
     seen.push_back(name);
   }
   EXPECT_EQ(flight::event_name(flight::EventId::kMpiReduce), "mpi.reduce");
+  EXPECT_EQ(flight::event_name(flight::EventId::kEngineSnapshot),
+            "engine.snapshot");
   EXPECT_EQ(flight::event_name(flight::EventId::kCount), "unknown");
 }
 

@@ -1,15 +1,21 @@
 // Tests for the derived numeric-health layer (src/audit/health.*): the
 // rule catalog evaluates trace snapshots into named ok/warn/fail
 // indicators. Snapshots are constructed directly (they are plain data),
-// so every judgment path is testable in ON and OFF builds alike.
+// so every judgment path is testable in ON and OFF builds alike; the Live*
+// tests check the counters a real deposit stream raises (trace builds).
 
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "audit/health.hpp"
+#include "core/hp_config.hpp"
+#include "core/hp_fixed.hpp"
 #include "trace/trace.hpp"
+#include "util/prng.hpp"
 
 namespace {
 
@@ -102,6 +108,85 @@ TEST(Health, StatusRaiseRateSumsEveryStickyBit) {
   EXPECT_EQ(level_of(base(24), "status.raise_rate"), HealthLevel::kOk);
   EXPECT_EQ(level_of(base(8), "status.raise_rate"), HealthLevel::kWarn);
   EXPECT_EQ(level_of(base(4), "status.raise_rate"), HealthLevel::kFail);
+}
+
+TEST(Health, BlockPathDepositsCountTowardCoverageAndRaiseRate) {
+  using C = trace::Counter;
+  // A block-path run (reduce_hp, the CLI) bumps only core.block.deposits;
+  // it is a fast path and its deposits are the raise-rate denominator.
+  const auto snap = snap_with({{C::kBlockDeposits, 100},
+                               {C::kReferenceAddCalls, 25},
+                               {C::kStatusInexact, 5}});
+  const audit::HealthReport report = audit::evaluate_health(snap);
+  const auto cov = audit::find_indicator(report, "scatter.fast_path_coverage");
+  ASSERT_TRUE(cov.has_value());
+  EXPECT_EQ(cov->numerator, 100u);
+  EXPECT_EQ(cov->denominator, 125u);
+  EXPECT_EQ(cov->level, HealthLevel::kOk);
+  const auto raise = audit::find_indicator(report, "status.raise_rate");
+  ASSERT_TRUE(raise.has_value());
+  EXPECT_EQ(raise->denominator, 125u);
+  EXPECT_EQ(raise->level, HealthLevel::kOk);
+}
+
+TEST(Health, VectorCoverageJudgesOnlyFullWidthBatches) {
+  using C = trace::Counter;
+  // Block deposits with no full batch offered (a short tail, or a build
+  // without the vector path): nothing to judge.
+  EXPECT_EQ(level_of(snap_with({{C::kBlockDeposits, 6}}),
+                     "simd.vector_coverage"),
+            HealthLevel::kNotApplicable);
+  // 3 of 4 offered batches deposited in vector lanes; the scalar tail and
+  // the punted batch's deposits do not dilute the ratio.
+  EXPECT_EQ(level_of(snap_with({{C::kBlockSimdBatches, 3},
+                                {C::kBlockSimdPunts, 1},
+                                {C::kBlockSimdDeposits, 12},
+                                {C::kBlockDeposits, 19}}),
+                     "simd.vector_coverage"),
+            HealthLevel::kOk);
+  EXPECT_EQ(level_of(snap_with({{C::kBlockSimdBatches, 1},
+                                {C::kBlockSimdPunts, 9}}),
+                     "simd.vector_coverage"),
+            HealthLevel::kFail);
+}
+
+TEST(Health, LiveThreeValueSumIsHealthy) {
+  if (!trace::enabled()) GTEST_SKIP() << "trace compiled out";
+  const trace::Snapshot before = trace::snapshot();
+  hpsum::HpFixed<3, 2> acc;
+  const std::vector<double> xs = {1.0, 2.0, 3.0};
+  acc.accumulate(xs);
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  EXPECT_EQ(level_of(d, "simd.vector_coverage"), HealthLevel::kNotApplicable);
+  const audit::HealthReport report = audit::evaluate_health(d);
+  EXPECT_EQ(audit::find_indicator(report, "status.raise_rate")->denominator,
+            3u);
+  EXPECT_EQ(report.overall, HealthLevel::kOk);
+}
+
+TEST(Health, LiveBlockFallbacksCountOnceAsBlockDeposits) {
+  if (!trace::enabled()) GTEST_SKIP() << "trace compiled out";
+  // Summands near the top of HP(2,1) keep failing the deferral gate, so
+  // the block path sends many of them down its scalar fallback.
+  const hpsum::HpConfig cfg{2, 1};
+  hpsum::util::Xoshiro256ss rng(0x4EA17Bull);
+  std::vector<double> xs(512);
+  for (double& x : xs) {
+    x = std::ldexp(1.0 + rng.uniform01(),
+                   hpsum::max_exponent(cfg) - 4 -
+                       static_cast<int>(rng.bounded(3)));
+    if ((rng.next() & 1) != 0) x = -x;
+  }
+  const trace::Snapshot before = trace::snapshot();
+  hpsum::HpFixed<2, 1> acc;
+  acc.accumulate(xs);
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  EXPECT_GT(d.value(trace::Counter::kBlockScalarFallbacks), 0u);
+  EXPECT_EQ(d.value(trace::Counter::kBlockDeposits), xs.size());
+  EXPECT_EQ(d.value(trace::Counter::kScatterAddCalls), 0u);
+  const auto raise = audit::find_indicator(audit::evaluate_health(d),
+                                           "status.raise_rate");
+  EXPECT_EQ(raise->denominator, xs.size());
 }
 
 TEST(Health, WireCompressionIdentityIsNotApplicable) {

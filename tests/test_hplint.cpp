@@ -425,6 +425,23 @@ TEST(HplintFixtures, RawTelemetryFixture) {
       << lint::to_text(vs);
 }
 
+TEST(HplintFixtures, SteadyClockFixture) {
+  const auto vs = lint_fixture("src/engine/bad_steady_clock.cpp");
+  EXPECT_EQ(lines_of(vs, lint::Rule::kRawTelemetry), (std::set<int>{9, 10}))
+      << lint::to_text(vs);
+  // The same lines are fine where the clock is the sanctioned sink.
+  const std::string src = "const auto t0 = std::chrono::steady_clock::now();\n";
+  EXPECT_TRUE(lines_of(lint::lint_source("src/trace/flight.cpp", src),
+                       lint::Rule::kRawTelemetry)
+                  .empty());
+  for (const char* dir : {"src/core/x.cpp", "src/mpisim/x.cpp",
+                          "src/audit/x.cpp", "src/engine/x.hpp"}) {
+    EXPECT_EQ(lines_of(lint::lint_source(dir, src), lint::Rule::kRawTelemetry),
+              (std::set<int>{1}))
+        << dir;
+  }
+}
+
 TEST(HplintFixtures, DuplicateKernelFixture) {
   const auto vs = lint_fixture("src/core/bad_duplicate_kernel.cpp");
   EXPECT_EQ(lines_of(vs, lint::Rule::kDuplicateKernel),

@@ -7,6 +7,7 @@
 
 #include "backends/accumulators.hpp"
 #include "core/reduce.hpp"
+#include "trace/trace.hpp"
 #include "workload/workload.hpp"
 
 namespace hpsum::phisim {
@@ -29,6 +30,27 @@ TEST(Phisim, ThreadCountValidation) {
   EXPECT_THROW((dev.offload_reduce<backends::DoubleSum>(xs, 241)),
                std::invalid_argument);
   EXPECT_NO_THROW((dev.offload_reduce<backends::DoubleSum>(xs, 240)));
+}
+
+TEST(Phisim, OffloadBusyTimeCountsOnceInBackends) {
+  // The device threads are backends::run_threads PEs: their time lands in
+  // backends.busy_ns, and phisim keeps no second copy of it.
+  EXPECT_FALSE(trace::counter_from_name("phisim.busy_ns").has_value());
+  OffloadDevice dev;
+  const auto xs = workload::uniform_set(40000, 84);
+  const trace::Snapshot before = trace::snapshot();
+  const auto point = dev.offload_reduce<backends::HpSum<6, 3>>(xs, 4);
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  if constexpr (trace::enabled()) {
+    EXPECT_EQ(d.value(trace::Counter::kPhisimOffloads), 1u);
+    EXPECT_EQ(d.value(trace::Counter::kBackendReductions), 1u);
+    const double busy_ns =
+        static_cast<double>(d.value(trace::Counter::kBackendBusyNs));
+    EXPECT_GE(busy_ns + 1.0, point.busy_max * 1e9);
+    EXPECT_LE(busy_ns, 4.0 * point.busy_max * 1e9 + 4.0);
+  } else {
+    EXPECT_EQ(d.value(trace::Counter::kBackendBusyNs), 0u);
+  }
 }
 
 TEST(Phisim, TransferCostIsBytesOverBandwidth) {

@@ -8,16 +8,17 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "backends/accumulators.hpp"
 #include "backends/scaling.hpp"
 #include "core/hp_atomic.hpp"
 #include "core/hp_fixed.hpp"
+#include "trace/busy.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -179,34 +180,46 @@ TEST(TraceCatalog, SnapshotValueByNameMatchesValueByEnum) {
   EXPECT_FALSE(snap.value("bogus.name").has_value());
 }
 
-TEST(TraceSaturation, SaturatingNsClampsNegativeNanAndHuge) {
-  EXPECT_EQ(trace::saturating_ns(0.0), 0u);
-  EXPECT_EQ(trace::saturating_ns(-1.0), 0u);
-  EXPECT_EQ(trace::saturating_ns(-1e-12), 0u);
-  EXPECT_EQ(trace::saturating_ns(std::numeric_limits<double>::quiet_NaN()),
-            0u);
-  EXPECT_EQ(trace::saturating_ns(-std::numeric_limits<double>::infinity()),
-            0u);
-  EXPECT_EQ(trace::saturating_ns(1.5), 1'500'000'000u);
-  // Anything at or beyond 2^64 ns saturates instead of wrapping (the
-  // undefined double->u64 cast the old trace_point performed).
-  EXPECT_EQ(trace::saturating_ns(1e30), ~std::uint64_t{0});
-  EXPECT_EQ(trace::saturating_ns(std::numeric_limits<double>::infinity()),
-            ~std::uint64_t{0});
-  static_assert(trace::saturating_ns(-5.0) == 0);
-  static_assert(trace::saturating_ns(2.0) == 2'000'000'000ull);
-}
-
-TEST(TraceSaturation, TracePointWithBadClockDeltasCountsZeroNs) {
-  // Regression: a negative or NaN busy total (misbehaving clock) must not
-  // wrap into a huge ns counter value — it clamps to zero.
+TEST(TraceBusy, ScopeWritesItsSlotAndBumpsItsCounterOnce) {
+  // The slot gets the thread-CPU seconds and the counter the same interval
+  // in ns, from one clock read; nothing else is counted.
   const trace::Snapshot before = trace::snapshot();
-  hpsum::backends::detail::trace_point(
-      -1.0, std::numeric_limits<double>::quiet_NaN());
+  double slot = -1.0;
+  std::uint64_t spin = 0;
+  {
+    const trace::BusyScope scope(slot, trace::Counter::kCudasimBusyNs,
+                                 trace::flight::EventId::kPeBusy, 0, 0);
+    for (int i = 0; i < 200000; ++i) spin = spin * 31 + 7;
+  }
+  EXPECT_NE(spin, 1u);
+  EXPECT_GT(slot, 0.0);
   const trace::Snapshot d = delta_of(before);
-  expect_count(d, trace::Counter::kBackendReductions, 1);
+  expect_count(d, trace::Counter::kCudasimBusyNs,
+               static_cast<std::uint64_t>(std::llround(slot * 1e9)));
   expect_count(d, trace::Counter::kBackendBusyNs, 0);
   expect_count(d, trace::Counter::kBackendMergeNs, 0);
+}
+
+TEST(TraceBusy, ThreadDriverFoldsEveryPeAndTheMergeOnce) {
+  std::vector<double> xs(40000, 0.5);
+  const trace::Snapshot before = trace::snapshot();
+  const hpsum::backends::ScalingPoint p =
+      hpsum::backends::run_threads<hpsum::backends::HpSum<3, 2>>(xs, 4);
+  const trace::Snapshot d = delta_of(before);
+  EXPECT_EQ(p.value, 20000.0);
+  EXPECT_GT(p.busy_max, 0.0);
+  EXPECT_GE(p.busy_total, p.busy_max);
+  EXPECT_EQ(p.modeled_wall, p.busy_max + p.merge_time);
+  expect_count(d, trace::Counter::kBackendReductions, 1);
+  expect_count(d, trace::Counter::kBackendMergeNs,
+               static_cast<std::uint64_t>(std::llround(p.merge_time * 1e9)));
+  if constexpr (trace::enabled()) {
+    // Per-PE ns are summed as integers, busy_total as doubles: equal to
+    // within one ns per PE.
+    const double busy_ns =
+        static_cast<double>(d.value(trace::Counter::kBackendBusyNs));
+    EXPECT_NEAR(busy_ns, p.busy_total * 1e9, 4.0);
+  }
 }
 
 TEST(TraceProbes, BumpAndCountAreExactSingleThreaded) {

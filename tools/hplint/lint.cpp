@@ -476,6 +476,7 @@ void check_l5(std::string_view path, const std::vector<Line>& lines,
       {"cerr", false, "std::cerr output"},
       {"WallTimer", false, "ad-hoc WallTimer measurement"},
       {"ThreadCpuTimer", false, "ad-hoc ThreadCpuTimer measurement"},
+      {"steady_clock", false, "hand-read steady_clock"},
   };
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string_view code = lines[i].code;
@@ -497,9 +498,10 @@ void check_l5(std::string_view path, const std::vector<Line>& lines,
                      Rule::kRawTelemetry,
                      std::string(b.what) + " in kernel code",
                      "route kernel observability through hpsum::trace "
-                     "counters (trace::count / trace::HistTimer) so it "
-                     "stays compile-out-able and machine-readable, or "
-                     "annotate `// hplint: allow(raw-telemetry)`"});
+                     "(trace::count, or a trace::flight::Span with a "
+                     "latency Hist to time an event) so it stays "
+                     "compile-out-able and machine-readable, or annotate "
+                     "`// hplint: allow(raw-telemetry)`"});
       break;
     }
   }

@@ -24,9 +24,10 @@
 //   L4 nondeterminism  no rand()/srand()/std::random_device and no
 //                      unordered-container iteration feeding reduction
 //                      order in deterministic paths.
-//   L5 raw-telemetry   no raw printf/iostream output or ad-hoc WallTimer /
-//                      ThreadCpuTimer measurement inside src/core,
-//                      src/mpisim, or src/audit — observability in the
+//   L5 raw-telemetry   no raw printf/iostream output, ad-hoc WallTimer /
+//                      ThreadCpuTimer measurement or hand-read
+//                      steady_clock inside src/core, src/mpisim,
+//                      src/audit, or src/engine — observability in the
 //                      instrumented planes flows through hpsum::trace
 //                      probes so it stays compile-out-able and
 //                      machine-readable; sanctioned output paths (the

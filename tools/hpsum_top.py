@@ -38,14 +38,16 @@ SPARK = " .:-=+*#%@"
 # numerator counters, denominator counters, warn_at, fail_at,
 # higher_is_better, na_when_equal). tools/telemetry_smoke.py checks the
 # names, thresholds and directions against `exact_sum_cli --health`.
+DEPOSITS = ["core.block.deposits", "core.scatter_add.calls",
+            "core.reference_add.calls"]
 HEALTH_RULES = [
     ("scatter.fast_path_coverage",
-     ["core.scatter_add.calls"],
-     ["core.scatter_add.calls", "core.reference_add.calls"],
+     ["core.block.deposits", "core.scatter_add.calls"],
+     DEPOSITS,
      0.50, 0.20, True, False),
     ("simd.vector_coverage",
-     ["core.block.simd_deposits"],
-     ["core.block.deposits"],
+     ["core.block.simd_batches"],
+     ["core.block.simd_batches", "core.block.simd_punts"],
      0.50, 0.20, True, False),
     ("atomic.cas_retry_rate",
      ["atomic.cas.retries"],
@@ -55,7 +57,7 @@ HEALTH_RULES = [
      ["core.status_raise.convert_overflow", "core.status_raise.add_overflow",
       "core.status_raise.to_double_overflow", "core.status_raise.inexact",
       "core.status_raise.to_double_inexact", "core.status_raise.invalid_op"],
-     ["core.scatter_add.calls", "core.reference_add.calls"],
+     DEPOSITS,
      0.25, 0.75, False, False),
     ("mpisim.wire_compression",
      ["mpisim.wire.encoded_bytes"],
