@@ -124,7 +124,10 @@ int main(int argc, char** argv) {
     const SumPlan plan = plan_for_data(xs);
     const HpConfig cfg = suggest_config(plan);
     const trace::flight::ReductionScope reduction(xs.size());
+    const trace::Snapshot before_reduce = trace::snapshot();
     const HpDyn exact = reduce_hp(xs, cfg);
+    const trace::Snapshot reduce_delta =
+        trace::snapshot().delta_since(before_reduce);
 
     std::printf("values           : %zu\n", xs.size());
     std::printf("|x| range        : [%.6e, %.6e]\n", plan.min_abs,
@@ -178,21 +181,21 @@ int main(int argc, char** argv) {
       if (!identical) return 1;
     }
 
-    const auto report = audit::order_sensitivity(xs, 64, 1);
+    const auto report = audit::order_sensitivity(xs, exact, 64, 1);
     std::printf("order sensitivity: stddev %.3e, worst |err| %.3e over %zu "
                 "shuffles\n",
                 report.stddev, report.worst_abs_error, report.trials);
     if (trace::enabled()) {
-      // Name-based lookup (counter_from_name under the hood): the CLI
-      // addresses counters by their stable exported names, like external
-      // consumers of the JSON schema do.
+      // What the exact reduction above did. Name-based lookup
+      // (counter_from_name under the hood): the CLI addresses counters by
+      // their stable exported names, like external consumers of the JSON
+      // schema do.
       std::printf("audit telemetry  : %llu block-path deposits, "
                   "%llu status raises (inexact)\n",
                   static_cast<unsigned long long>(
-                      report.trace_delta.value("core.block.deposits")
-                          .value_or(0)),
+                      reduce_delta.value("core.block.deposits").value_or(0)),
                   static_cast<unsigned long long>(
-                      report.trace_delta.value("core.status_raise.inexact")
+                      reduce_delta.value("core.status_raise.inexact")
                           .value_or(0)));
     }
 

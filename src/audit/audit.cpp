@@ -16,14 +16,13 @@
 namespace hpsum::audit {
 
 SensitivityReport order_sensitivity(std::span<const double> xs,
-                                    std::size_t trials, std::uint64_t seed) {
+                                    const HpDyn& exact, std::size_t trials,
+                                    std::uint64_t seed) {
   SensitivityReport report;
   report.trials = trials;
   const trace::Snapshot before = trace::snapshot();
-  report.config = suggest_config(plan_for_data(xs));
-
-  const HpDyn exact_hp = reduce_hp(xs, report.config);
-  report.exact = exact_hp.to_double();
+  report.config = exact.config();
+  report.exact = exact.to_double();
   report.naive_error = std::fabs(reduce_double(xs) - report.exact);
 
   std::vector<double> scratch(xs.begin(), xs.end());
@@ -37,6 +36,15 @@ SensitivityReport order_sensitivity(std::span<const double> xs,
   }
   report.mean = rs.mean();
   report.stddev = rs.stddev();
+  report.trace_delta = trace::snapshot().delta_since(before);
+  return report;
+}
+
+SensitivityReport order_sensitivity(std::span<const double> xs,
+                                    std::size_t trials, std::uint64_t seed) {
+  const trace::Snapshot before = trace::snapshot();
+  const HpDyn exact = reduce_hp(xs, suggest_config(plan_for_data(xs)));
+  SensitivityReport report = order_sensitivity(xs, exact, trials, seed);
   report.trace_delta = trace::snapshot().delta_since(before);
   return report;
 }

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/hp_config.hpp"
+#include "core/hp_dyn.hpp"
 #include "core/hp_status.hpp"
 #include "trace/trace.hpp"
 #include "util/limbs.hpp"
@@ -41,16 +42,28 @@ struct SensitivityReport {
   double worst_abs_error = 0.0;  ///< max |double sum - exact|
   double naive_error = 0.0;  ///< |unshuffled double sum - exact|
   HpConfig config;           ///< format the audit sized for the data
-  /// Telemetry delta across the study (what the exact reduction did: fast-
-  /// path deposits, carry chains, status raises). All-zero in
+  /// Telemetry delta across the study. For the span-only form it includes
+  /// the plan and the exact reduction (block-path deposits, carry chains,
+  /// status raises); the form given the caller's exact sum reduces nothing
+  /// in HP, so its delta covers the shuffled double sums only. All-zero in
   /// HPSUM_TRACE=OFF builds.
   trace::Snapshot trace_delta;
 };
 
 /// Runs the study: `trials` random permutations (deterministic in `seed`),
-/// each summed left-to-right in double, compared against the exact HP sum
-/// using a format sized from the data itself (hp_plan). Throws
-/// std::invalid_argument for non-finite data or unsatisfiable formats.
+/// each summed left-to-right in double, compared against `exact`, the HP
+/// sum of `xs` the caller has already reduced (report.exact and
+/// report.config come from it) — a caller that holds one pays for no
+/// second plan or HP reduction.
+[[nodiscard]] SensitivityReport order_sensitivity(std::span<const double> xs,
+                                                  const HpDyn& exact,
+                                                  std::size_t trials = 256,
+                                                  std::uint64_t seed = 1);
+
+/// The same study on data with no exact sum yet: sizes a format from the
+/// data itself (hp_plan), reduces `xs` in it, and runs the study above.
+/// Throws std::invalid_argument for non-finite data or unsatisfiable
+/// formats.
 [[nodiscard]] SensitivityReport order_sensitivity(std::span<const double> xs,
                                                   std::size_t trials = 256,
                                                   std::uint64_t seed = 1);

@@ -5,8 +5,10 @@
 // backends' whole-slice accumulators, rblas, the mpisim op). At runtime, on
 // a CPU with AVX2, it dispatches here: a batch of kWidth doubles is
 // decomposed in vector lanes (exponent extract, mantissa split, sign
-// select) and deposited into the positive/negative carry-save planes,
-// instead of paying the scalar decompose's branch tree once per summand.
+// select) and deposited into the positive/negative carry-save planes —
+// runs of batches on one limb pair are summed in registers and drained
+// into the planes once per run — instead of paying the scalar decompose's
+// branch tree once per summand.
 //
 // Configure-time choice (-DHPSUM_SIMD=...):
 //
@@ -41,6 +43,11 @@ __extension__ using U128 = unsigned __int128;
 /// Lanes per batch. Batches are processed whole: a tail shorter than
 /// kWidth (and any batch with a slow lane) takes the scalar deposit.
 inline constexpr int kWidth = 8;
+
+/// Uniform batches (all lanes on one limb pair) that the AVX2 path sums in
+/// registers before it drains them into the planes: the most that keeps
+/// every 64-bit lane sum below 2^64 (static_assert in the AVX2 TU).
+inline constexpr int kRunMaxBatches = 2048;
 
 /// Which deposit path block_accumulate takes at runtime.
 enum class Level { kOff, kAvx2 };

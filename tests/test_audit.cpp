@@ -61,6 +61,27 @@ TEST(Audit, DeterministicInSeed) {
   EXPECT_NE(a.stddev, c.stddev);
 }
 
+TEST(Audit, CallersExactSumGivesTheSameStudyWithoutASecondReduction) {
+  // The span-only form plans, reduces and delegates; handing the caller's
+  // exact sum over must give the same report and reduce nothing in HP.
+  const auto xs = workload::cancellation_set(2048, 5);
+  const auto own = order_sensitivity(xs, 32, 6);
+  const HpDyn exact = reduce_hp(xs, own.config);
+  const auto given = order_sensitivity(xs, exact, 32, 6);
+  EXPECT_EQ(given.exact, own.exact);
+  EXPECT_EQ(given.config, own.config);
+  EXPECT_EQ(given.trials, own.trials);
+  EXPECT_EQ(given.mean, own.mean);
+  EXPECT_EQ(given.stddev, own.stddev);
+  EXPECT_EQ(given.worst_abs_error, own.worst_abs_error);
+  EXPECT_EQ(given.naive_error, own.naive_error);
+  if constexpr (trace::enabled()) {
+    EXPECT_EQ(own.trace_delta.value(trace::Counter::kBlockDeposits),
+              xs.size());
+    EXPECT_EQ(given.trace_delta.value(trace::Counter::kBlockDeposits), 0u);
+  }
+}
+
 TEST(Audit, RejectsNonFinite) {
   const std::vector<double> bad = {1.0, std::numeric_limits<double>::infinity()};
   EXPECT_THROW((void)order_sensitivity(bad, 8, 1), std::invalid_argument);

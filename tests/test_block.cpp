@@ -493,6 +493,39 @@ TEST(BlockSimd, FacadeTakesTheAvx2PathWhenDispatched) {
   EXPECT_EQ(hp, scalar);
 }
 
+TEST(BlockSimd, UniformSpanIsVectorDepositedWithoutPunts) {
+  // Every batch of this span is all-fast, passes the gate and lands on one
+  // limb pair, across more than one run cadence: the AVX2 path must
+  // vector-deposit every batch. A kernel that quietly punts uniform
+  // batches to block_add stays bit-identical, so only the counters show it.
+  if constexpr (!trace::enabled()) {
+    GTEST_SKIP() << "HPSUM_TRACE=OFF: the SIMD batch counters are compiled out";
+  }
+  if (kernel::simd::active_level() != kernel::simd::Level::kAvx2) {
+    GTEST_SKIP() << "dispatch level is "
+                 << kernel::simd::level_name(kernel::simd::active_level());
+  }
+  util::Xoshiro256ss rng(0x0B17C4);
+  std::vector<double> xs(
+      static_cast<std::size_t>(kernel::simd::kRunMaxBatches + 3) *
+      kernel::simd::kWidth);
+  for (auto& x : xs) {  // |x| in [0.25, 0.5): lsb limb offset 1 in HP(3,2)
+    const double v = 0.25 + 0.25 * rng.uniform01();
+    x = (rng.next() & 1) != 0 ? -v : v;
+  }
+  const trace::Snapshot before = trace::snapshot();
+  HpFixed<3, 2> hp;
+  hp.accumulate(xs);
+  const trace::Snapshot d = trace::snapshot().delta_since(before);
+  EXPECT_EQ(d.value(trace::Counter::kBlockSimdBatches),
+            xs.size() / kernel::simd::kWidth);
+  EXPECT_EQ(d.value(trace::Counter::kBlockSimdPunts), 0u);
+  HpFixed<3, 2> scalar;
+  for (const double x : xs) scalar += x;
+  EXPECT_EQ(hp, scalar);
+  EXPECT_EQ(hp.status(), scalar.status());
+}
+
 // ---------------------------------------------------------------------------
 // The deferral gate itself. A deposit is deferred while
 // base + bit_width(pending) <= 64n-1 and pending < kBlockMaxPending, so
@@ -655,6 +688,166 @@ TEST(BlockGate, PendingCapForcesFlush) {
   const auto [bref, bref_st] = scatter_reference(cfg, start, xs);
   EXPECT_EQ(bref, batched.a);
   EXPECT_EQ(bref_st, batched.st);
+}
+
+// ---------------------------------------------------------------------------
+// Drain points of the AVX2 run. Consecutive uniform batches (all lanes on
+// one limb pair) are summed in register lanes and reach the planes only
+// when the limb pair changes, before a punt (block_add may flush), every
+// kRunMaxBatches batches (lane sums stay below 2^64) and at span end. Each
+// stream below is built so that a missing or late drain changes the limbs,
+// the status, or the bound/pending state a flush leaves behind. On a build
+// without the AVX2 path they test the scalar span loop.
+// ---------------------------------------------------------------------------
+
+/// A full-mantissa summand (all 53 bits set) whose lsb sits `p` bits above
+/// the format's lsb: limb offset p/64, in-limb offset p%64. p%64 == 63
+/// gives the largest straddle word, 2^52-1; p%64 == 11 the largest lo
+/// word, 2^64-2^11.
+double full_mantissa_at(const HpConfig& cfg, int p) {
+  return std::ldexp(static_cast<double>((std::uint64_t{1} << 53) - 1),
+                    p + min_exponent(cfg));
+}
+
+/// block_accumulate over `xs` (split into subspans at `splits`) against
+/// the per-element block_add loop: bound, pending and status before the
+/// final flush, then limbs. Returns the block_add side's state before its
+/// flush, for the callers' checks that the stream does what it was built
+/// to do.
+BlockState expect_run_matches_block_add(
+    const HpConfig& cfg, const std::vector<Limb>& start,
+    const std::vector<double>& xs, const std::vector<std::size_t>& splits) {
+  BlockState scalar(cfg, start);
+  for (const double x : xs) scalar.add(cfg, x);
+  BlockState batched(cfg, start);
+  const std::span<const double> all(xs.data(), xs.size());
+  std::size_t at = 0;
+  for (const std::size_t len : splits) {
+    batched.simd(cfg, all.subspan(at, len));
+    at += len;
+  }
+  batched.simd(cfg, all.subspan(at));
+  const BlockState before_flush = scalar;
+  EXPECT_EQ(scalar.bound, batched.bound);
+  EXPECT_EQ(scalar.pending, batched.pending);
+  EXPECT_EQ(scalar.st, batched.st) << "scalar=" << to_string(scalar.st)
+                                   << " batched=" << to_string(batched.st);
+  scalar.flush(cfg);
+  batched.flush(cfg);
+  EXPECT_EQ(scalar.a, batched.a);
+  return before_flush;
+}
+
+TEST(BlockRun, LongRunsOfMaximalWordsDrainBeforeLaneSumsWrap) {
+  // Every lane adds two straddle words of 2^52-1 per batch: past
+  // kRunMaxBatches a lane sum would wrap 2^64 unless the run drains, and
+  // the stream is long enough (three cadences and a bit) that draining
+  // at twice the cadence wraps too. One sign per stream, so a wrap in the
+  // positive lanes cannot cancel against one in the negative lanes.
+  const HpConfig cfg{3, 2};
+  const std::vector<Limb> start(3, 0);
+  const std::size_t len =
+      static_cast<std::size_t>(3 * kernel::simd::kRunMaxBatches + 5) *
+      kernel::simd::kWidth;
+  const double st_max = full_mantissa_at(cfg, 63);
+  const double lo_max = full_mantissa_at(cfg, 11);
+  expect_run_matches_block_add(cfg, start, std::vector<double>(len, st_max),
+                               {});
+  expect_run_matches_block_add(cfg, start, std::vector<double>(len, -st_max),
+                               {});
+  // Largest lo words of both signs beside the straddles, lane by lane.
+  std::vector<double> mixed(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    const double v = (i % 4 < 2) ? st_max : lo_max;
+    mixed[i] = (i % 3 == 0) ? -v : v;
+  }
+  expect_run_matches_block_add(cfg, start, mixed, {});
+}
+
+TEST(BlockRun, LimbPairSwitchMidRunDrainsTheRun) {
+  // Runs on limb offset 0, then 1, then 0 again, a straddling batch, and
+  // a last run on offset 1: each switch must land the finished run's sums
+  // on its own limb pair, not the next run's.
+  const HpConfig cfg{3, 2};
+  const std::vector<Limb> start(3, 0);
+  constexpr int kW = kernel::simd::kWidth;
+  const double lq0 = full_mantissa_at(cfg, 63);
+  const double lq1 = full_mantissa_at(cfg, 64 + 20);
+  std::vector<double> xs;
+  const auto run = [&](double v, int nbatches) {
+    for (int i = 0; i < nbatches * kW; ++i) {
+      xs.push_back((i % 5 == 0) ? -v : v);
+    }
+  };
+  run(lq0, 20);
+  run(lq1, 20);
+  run(lq0, 20);
+  for (int i = 0; i < kW; ++i) xs.push_back((i % 2 != 0) ? lq1 : lq0);
+  run(lq1, 10);
+  expect_run_matches_block_add(cfg, start, xs, {});
+  expect_run_matches_block_add(cfg, start, xs, {20 * kW + 3, 17});
+}
+
+/// 511 uniform batches of 1.75 * 2^50 into HP(2,1): base 115, pending
+/// 4088, the accumulated value about 1.75 * 2^62 — the whole run sits in
+/// registers when the next batch arrives.
+std::vector<double> long_uniform_run() {
+  return std::vector<double>(511 * kernel::simd::kWidth, std::ldexp(1.75, 50));
+}
+
+TEST(BlockRun, ZeroOrSubnormalPuntAfterLongRunSeesTheRun) {
+  // A batch with a zero or subnormal lane punts. Its second element (2^57,
+  // msb+1 = 122) fails the gate at pending 4089 and flushes: the run must
+  // already be in the planes, or the flush computes its bound from a value
+  // that lacks the run (122 instead of 127) and the six 1.75 * 2^50 after
+  // it are deferred instead of taking the fallback.
+  const HpConfig cfg{2, 1};
+  const std::vector<Limb> start(2, 0);
+  for (const double slow : {0.0, -0.0, 0x1p-1074, -0x1p-1060}) {
+    std::vector<double> xs = long_uniform_run();
+    xs.push_back(slow);
+    xs.push_back(0x1p57);
+    for (int i = 0; i < 6; ++i) xs.push_back(std::ldexp(1.75, 50));
+    const BlockState ref = expect_run_matches_block_add(cfg, start, xs, {});
+    EXPECT_EQ(ref.bound, 127) << "the flush must see the whole run";
+    EXPECT_EQ(ref.pending, 0);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(BlockRun, NearTopGateFailureAfterRunDrainsBeforeTheFlush) {
+  // 1.5 * 2^62 has msb+1 = 127 = 64n-1: the batch fails the gate and
+  // punts, block_add flushes, and the fallback adds it to the flushed
+  // value. With the run drained that value is about 1.75 * 2^62, so the
+  // sum leaves the range and raises kAddOverflow; without the drain the
+  // flush sees zero and the overflow goes unreported.
+  const HpConfig cfg{2, 1};
+  const std::vector<Limb> start(2, 0);
+  std::vector<double> xs = long_uniform_run();
+  xs.push_back(0x1.8p62);
+  for (int i = 0; i < 7; ++i) xs.push_back(std::ldexp(1.75, 50));
+  const BlockState ref = expect_run_matches_block_add(cfg, start, xs, {});
+  EXPECT_TRUE(has(ref.st, HpStatus::kAddOverflow));
+}
+
+TEST(BlockRun, RunEndingAtSpanEndDrainsBeforeTheTail) {
+  // The span ends in a tail shorter than kWidth whose first element
+  // flushes (as in ZeroOrSubnormalPunt...): the run must drain before the
+  // scalar tail, not after it. The split variants end runs at several
+  // span ends, each with its own short tail.
+  const HpConfig cfg{2, 1};
+  const std::vector<Limb> start(2, 0);
+  std::vector<double> xs = long_uniform_run();
+  xs.push_back(0x1p57);
+  for (int i = 0; i < 4; ++i) xs.push_back(std::ldexp(1.75, 50));
+  for (const std::vector<std::size_t>& splits :
+       {std::vector<std::size_t>{}, std::vector<std::size_t>{8 * 100 + 3},
+        std::vector<std::size_t>{8 * 300 + 7, 8 * 50 + 1}}) {
+    const BlockState ref = expect_run_matches_block_add(cfg, start, xs, splits);
+    EXPECT_EQ(ref.bound, 127);
+    EXPECT_EQ(ref.pending, 0);
+    if (HasFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------
