@@ -1,7 +1,7 @@
 // Figure 6 reproduction: message-passing strong scaling of the 32M global
 // sum — double vs HP(6,3) vs Hallberg(10,38), reducing with a custom
 // datatype + op (the paper's MPI_Reduce experiment, run on the mpisim
-// runtime; DESIGN.md §2). Beyond the paper's 128 ranks, the multiplexed
+// runtime; DESIGN.md §2). Beyond the paper's 128 ranks, mpisim's fiber
 // engine (docs/MPISIM.md) scales the same experiment to thousands of
 // simulated ranks, and the HP rows can ship the sparse limb wire codec
 // (docs/FORMAT.md) — the run reports the achieved raw/encoded byte ratio.
@@ -11,20 +11,19 @@
 // partials at rank 0. Modeled wallclock = max rank busy + root combine.
 //
 // Known timing fault (not fixed): the root combine is a thread-CPU timer
-// across a blocking Comm::reduce. Under the multiplexed engine (--mode=mux,
-// and auto above 128 ranks) the root's worker thread runs other ranks'
-// fibers while the root waits, so the timer also absorbs the local phases
-// of every rank co-scheduled on that worker. With more ranks than workers,
-// t(model) then stops falling with p and eff collapses (EXPERIMENTS.md has
-// the measurement); the run prints a one-line caveat in that case. The
-// threads engine is unaffected: a blocked rank thread burns no CPU.
+// across a blocking Comm::reduce. mpisim gives every rank its own worker
+// thread up to 128 ranks, where a blocked rank burns no CPU and the timer
+// is honest. Above 128 ranks ranks outnumber workers: the root's worker
+// runs other ranks' fibers while the root waits, so the timer also absorbs
+// the local phases of every rank co-scheduled on that worker, t(model)
+// stops falling with p and eff collapses (EXPERIMENTS.md has the
+// measurement). The run prints a one-line caveat whenever ranks > workers.
 //
-// Flags: --n (default 4M; paper 32M), --maxp (default 128; mux engine
-//        supports 4096), --seed,
+// Flags: --n (default 4M; paper 32M), --maxp (default 128; up to 4096),
+//        --seed,
 //        --algo  (tree|linear|rdouble|rhalf, default tree),
 //        --wire  (raw|sparse, default raw; HP rows only — double/Hallberg
 //                 payloads always travel raw),
-//        --mode  (auto|threads|mux, default auto),
 //        --dist  (uniform|lognormal, default uniform),
 //        --json=PATH (the BENCH_mpi.json schema consumed by
 //                 tools/bench_smoke.py --fig6-json).
@@ -65,13 +64,12 @@ struct Point {
 template <class LocalFn, class FinishFn>
 Point run_point(const std::vector<double>& xs, int ranks,
                 const mpisim::Datatype& dt, const mpisim::Op& op,
-                mpisim::ReduceAlgo algo, const mpisim::RunOptions& base_opts,
-                LocalFn local, FinishFn finish) {
+                mpisim::ReduceAlgo algo, LocalFn local, FinishFn finish) {
   // One logical reduction: all ranks' flight events (local reduce, sends,
   // recvs, Comm::reduce spans) carry this id as their correlation key.
   const trace::flight::ReductionScope reduction(xs.size());
   Point out;
-  mpisim::RunOptions opts = base_opts;
+  mpisim::RunOptions opts;
   opts.stats = &out.stats;
   std::vector<double> busy(static_cast<std::size_t>(ranks), 0.0);
   double root_combine = 0;
@@ -102,9 +100,9 @@ Point run_point(const std::vector<double>& xs, int ranks,
 }
 
 Point point_double(const std::vector<double>& xs, int ranks,
-                   mpisim::ReduceAlgo algo, const mpisim::RunOptions& opts) {
+                   mpisim::ReduceAlgo algo) {
   return run_point(
-      xs, ranks, mpisim::Datatype::f64(), mpisim::f64_sum_op(), algo, opts,
+      xs, ranks, mpisim::Datatype::f64(), mpisim::f64_sum_op(), algo,
       [](std::span<const double> slice) {
         const double v = reduce_double(slice);
         std::vector<std::byte> bytes(sizeof v);
@@ -119,12 +117,10 @@ Point point_double(const std::vector<double>& xs, int ranks,
 }
 
 Point point_hp(const std::vector<double>& xs, int ranks,
-               mpisim::ReduceAlgo algo, mpisim::Wire wire,
-               const mpisim::RunOptions& opts) {
+               mpisim::ReduceAlgo algo, mpisim::Wire wire) {
   const HpConfig cfg{6, 3};
   return run_point(
       xs, ranks, mpisim::hp_datatype(cfg), mpisim::hp_sum_op(cfg, wire), algo,
-      opts,
       [cfg](std::span<const double> slice) {
         // Per-rank local phase through the engine (1-lane DynSum sink);
         // bit-identical limbs+status to reduce_hp(slice, cfg).
@@ -141,12 +137,11 @@ Point point_hp(const std::vector<double>& xs, int ranks,
 }
 
 Point point_hallberg(const std::vector<double>& xs, int ranks,
-                     mpisim::ReduceAlgo algo,
-                     const mpisim::RunOptions& opts) {
+                     mpisim::ReduceAlgo algo) {
   const HallbergParams p{10, 38};
   return run_point(
       xs, ranks, mpisim::hallberg_datatype(p), mpisim::hallberg_sum_op(p),
-      algo, opts,
+      algo,
       [p](std::span<const double> slice) {
         Hallberg v(p);
         for (const double x : slice) v.add(x);
@@ -173,7 +168,7 @@ struct Row {
 int main(int argc, char** argv) {
   const bench::Args args = bench::parse_args(
       argc, argv,
-      {"n", "maxp", "seed", "algo", "wire", "mode", "dist", "csv", "json"});
+      {"n", "maxp", "seed", "algo", "wire", "dist", "csv", "json"});
   const auto n = bench::pick(args, "n", 4 * 1024 * 1024, 32 * 1024 * 1024);
   const auto maxp = static_cast<int>(args.get_int("maxp", 128));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 6));
@@ -201,18 +196,6 @@ int main(int argc, char** argv) {
   const mpisim::Wire wire =
       wire_name == "sparse" ? mpisim::Wire::kSparse : mpisim::Wire::kRaw;
 
-  const std::string mode_name = args.get_string("mode", "auto");
-  mpisim::RunOptions opts;
-  if (mode_name == "threads") {
-    opts.mode = mpisim::RunMode::kThreads;
-  } else if (mode_name == "mux") {
-    opts.mode = mpisim::RunMode::kMultiplexed;
-  } else if (mode_name != "auto") {
-    std::fprintf(stderr, "unknown --mode %s (auto|threads|mux)\n",
-                 mode_name.c_str());
-    return 2;
-  }
-
   const std::string dist = args.get_string("dist", "uniform");
   if (dist != "uniform" && dist != "lognormal") {
     std::fprintf(stderr, "unknown --dist %s (uniform|lognormal)\n",
@@ -222,10 +205,10 @@ int main(int argc, char** argv) {
 
   bench::banner("Fig 6: message-passing strong scaling, 32M global sum",
                 "Fig 6 (§IV.B): MPI_Reduce with custom datatype/op, double "
-                "vs HP(6,3) vs Hallberg(10,38), 1..128 ranks (mux engine: "
-                "to 4096)");
-  std::printf("algo=%s wire=%s mode=%s dist=%s\n\n", algo_name.c_str(),
-              wire_name.c_str(), mode_name.c_str(), dist.c_str());
+                "vs HP(6,3) vs Hallberg(10,38), 1..128 ranks (mpisim: to "
+                "4096)");
+  std::printf("algo=%s wire=%s dist=%s\n\n", algo_name.c_str(),
+              wire_name.c_str(), dist.c_str());
 
   const auto xs =
       dist == "lognormal"
@@ -244,9 +227,9 @@ int main(int argc, char** argv) {
   for (int p = 1; p <= maxp; p *= 2) {
     Row row;
     row.ranks = p;
-    row.d = point_double(xs, p, algo, opts);
-    row.h = point_hp(xs, p, algo, wire, opts);
-    row.b = point_hallberg(xs, p, algo, opts);
+    row.d = point_double(xs, p, algo);
+    row.h = point_hp(xs, p, algo, wire);
+    row.b = point_hallberg(xs, p, algo);
     if (p == 1) {
       d1 = row.d;
       h1 = row.h;
@@ -272,9 +255,8 @@ int main(int argc, char** argv) {
   }
   bench::emit_table(table, args);
   for (const Row& row : rows) {
-    if (row.h.stats.mode == mpisim::RunMode::kMultiplexed &&
-        row.ranks > row.h.stats.workers) {
-      std::printf("caveat: mux engine, %d ranks on %d workers: from p=%d the "
+    if (row.ranks > row.h.stats.workers) {
+      std::printf("caveat: %d ranks on %d workers: from p=%d the "
                   "root-combine timer includes co-scheduled ranks' local "
                   "phases, so t(model)/eff overstate the cost (see header)\n",
                   row.ranks, row.h.stats.workers, row.ranks);
@@ -321,10 +303,9 @@ int main(int argc, char** argv) {
                  "  \"dist\": \"%s\",\n"
                  "  \"algo\": \"%s\",\n"
                  "  \"wire\": \"%s\",\n"
-                 "  \"mode\": \"%s\",\n"
                  "  \"points\": [\n",
                  static_cast<long long>(n), dist.c_str(), algo_name.c_str(),
-                 wire_name.c_str(), mode_name.c_str());
+                 wire_name.c_str());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
       std::fprintf(

@@ -1,7 +1,5 @@
 #include "mpisim/fiber.hpp"
 
-#if HPSUM_MPISIM_HAS_FIBERS
-
 #include <cassert>
 #include <utility>
 
@@ -26,15 +24,11 @@ namespace {
 thread_local Fiber* tl_current_fiber = nullptr;
 }  // namespace
 
-Fiber* Fiber::current() noexcept { return tl_current_fiber; }
-
-Fiber::Fiber(std::size_t stack_bytes, std::function<void()> fn)
-    : stack_(new std::byte[stack_bytes]),
-      stack_bytes_(stack_bytes),
-      fn_(std::move(fn)) {
+Fiber::Fiber(std::function<void()> fn)
+    : stack_(new std::byte[kStackBytes]), fn_(std::move(fn)) {
   getcontext(&ctx_);
   ctx_.uc_stack.ss_sp = stack_.get();
-  ctx_.uc_stack.ss_size = stack_bytes_;
+  ctx_.uc_stack.ss_size = kStackBytes;
   ctx_.uc_link = nullptr;  // trampoline never returns; see below
   makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
 #if HPSUM_FIBER_TSAN
@@ -73,7 +67,7 @@ void Fiber::resume() {
   tl_current_fiber = this;
 #if HPSUM_FIBER_ASAN
   __sanitizer_start_switch_fiber(&asan_sched_fake_, stack_.get(),
-                                 stack_bytes_);
+                                 kStackBytes);
 #endif
 #if HPSUM_FIBER_TSAN
   tsan_sched_ = __tsan_get_current_fiber();
@@ -105,5 +99,3 @@ void Fiber::yield() {
 }
 
 }  // namespace hpsum::mpisim::detail
-
-#endif  // HPSUM_MPISIM_HAS_FIBERS

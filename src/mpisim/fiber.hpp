@@ -1,8 +1,8 @@
-// Cooperative stackful fibers for the multiplexed mpisim engine
-// (docs/MPISIM.md §"Multiplexed execution"). One fiber per simulated rank,
-// many fibers per worker thread: a rank body that blocks in recv/barrier
-// yields its worker instead of parking an OS thread, which is what lets
-// mpisim::run scale to thousands of ranks on a handful of threads.
+// Cooperative stackful fibers for the mpisim engine (docs/MPISIM.md
+// §"Execution engine"). One fiber per simulated rank, one or more fibers
+// per worker thread: a rank body that blocks in recv/barrier yields its
+// worker instead of parking an OS thread, which is what lets mpisim::run
+// scale to thousands of ranks on a handful of threads.
 //
 // Implementation: POSIX ucontext (makecontext/swapcontext) with the
 // sanitizer fiber-switching annotations — TSan's __tsan_switch_to_fiber
@@ -12,18 +12,15 @@
 // the code running inside (thread_locals resolve to the worker).
 #pragma once
 
+#if !defined(__linux__) || !__has_include(<ucontext.h>)
+#error "mpisim needs Linux ucontext fibers (makecontext/swapcontext)"
+#endif
+
+#include <ucontext.h>
+
 #include <cstddef>
 #include <functional>
 #include <memory>
-
-#if defined(__linux__) && __has_include(<ucontext.h>)
-#define HPSUM_MPISIM_HAS_FIBERS 1
-#include <ucontext.h>
-#else
-#define HPSUM_MPISIM_HAS_FIBERS 0
-#endif
-
-#if HPSUM_MPISIM_HAS_FIBERS
 
 namespace hpsum::mpisim::detail {
 
@@ -32,9 +29,14 @@ namespace hpsum::mpisim::detail {
 /// yield() only from inside the running fiber.
 class Fiber {
  public:
+  /// Stack bytes per fiber: 4096 ranks cost 1 GiB of (lazily touched)
+  /// stacks. A heap block, so under ASan an overflowing rank body runs
+  /// into the allocation's redzone and is reported.
+  static constexpr std::size_t kStackBytes = 256 * 1024;
+
   /// Creates a suspended fiber; `fn` starts on the first resume(). `fn`
   /// must not let exceptions escape (they cannot cross a context switch).
-  Fiber(std::size_t stack_bytes, std::function<void()> fn);
+  explicit Fiber(std::function<void()> fn);
   ~Fiber();
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -46,9 +48,6 @@ class Fiber {
   /// Suspends the running fiber, returning control to its resume() caller.
   static void yield();
 
-  /// The fiber currently running on this thread, or null.
-  [[nodiscard]] static Fiber* current() noexcept;
-
   /// True once `fn` has returned; the fiber may not be resumed again.
   [[nodiscard]] bool finished() const noexcept { return finished_; }
 
@@ -58,7 +57,6 @@ class Fiber {
   ucontext_t ctx_{};
   ucontext_t sched_{};
   std::unique_ptr<std::byte[]> stack_;
-  std::size_t stack_bytes_;
   std::function<void()> fn_;
   bool started_ = false;
   bool finished_ = false;
@@ -71,5 +69,3 @@ class Fiber {
 };
 
 }  // namespace hpsum::mpisim::detail
-
-#endif  // HPSUM_MPISIM_HAS_FIBERS

@@ -1,9 +1,11 @@
 #include "mpisim/mpisim.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <exception>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -18,8 +20,9 @@ namespace hpsum::mpisim {
 namespace {
 namespace flight = trace::flight;
 
-/// kAuto runs one jthread per rank up to here, fibers above (docs/MPISIM.md).
-constexpr int kAutoThreadLimit = 128;
+/// Default worker rule: one worker (OS thread) per rank up to here,
+/// hardware_concurrency workers above (docs/MPISIM.md).
+constexpr int kOneWorkerPerRankLimit = 128;
 
 /// memcpy with the zero-length case allowed: empty messages and
 /// zero-count collectives hand us null/empty vector data(), which the
@@ -37,41 +40,11 @@ void check_user_tag(int tag) {
   }
 }
 
-/// Per-rank execution context for the multiplexed engine: which fiber runs
-/// the rank and why it is blocked. Written only by the rank's own worker
-/// thread (the fiber runs on it), so the block fields need no locking; the
-/// readiness predicates re-derive state from the runtime's locked
-/// structures.
-struct RankCtx {
-  enum class Block { kNone, kRecv, kBarrier };
-  int rank = -1;
-  Block block = Block::kNone;
-  int src = -1;
-  int tag = -1;
-  std::uint64_t barrier_gen = 0;
-#if HPSUM_MPISIM_HAS_FIBERS
-  std::unique_ptr<detail::Fiber> fiber;
-#endif
-  bool done = false;
-};
-
-/// Set by the worker scheduler around each fiber resume; null on plain
-/// rank threads — how the blocking primitives know whether to park the OS
-/// thread or yield the fiber.
-thread_local RankCtx* tl_ctx = nullptr;
-
-void fiber_yield() {
-#if HPSUM_MPISIM_HAS_FIBERS
-  detail::Fiber::yield();
-#else
-  assert(false && "fiber_yield without fiber support");
-#endif
-}
-
 }  // namespace
 
-/// Shared state for one run(): mailboxes (the "network"), the barrier, the
-/// poison latch, and run statistics.
+/// Shared state for one run(): one fiber and mailbox (the "network") per
+/// rank, the barrier, the worker wake channels, the poison latch, and run
+/// statistics. Rank r's fiber runs on worker r % workers.
 class Runtime {
  public:
   struct Message {
@@ -80,26 +53,29 @@ class Runtime {
     std::vector<std::byte> data;
   };
 
-  /// Worker-pool wake channel for the multiplexed engine: a worker sleeps
-  /// until its epoch moves (message for one of its ranks, barrier release,
-  /// or poison).
-  struct Worker {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::uint64_t epoch = 0;
-  };
-
-  explicit Runtime(int nranks)
-      : nranks_(nranks), mailboxes_(static_cast<std::size_t>(nranks)) {}
+  /// Creates one suspended fiber per rank running `body`. The first real
+  /// failure poisons the runtime (waking every blocked peer); the
+  /// resulting RankAborted cascade on other ranks is expected and not
+  /// re-recorded.
+  Runtime(int nranks, int workers, const std::function<void(Comm&)>& body)
+      : nranks_(nranks),
+        ranks_(static_cast<std::size_t>(nranks)),
+        workers_(static_cast<std::size_t>(workers)) {
+    for (int r = 0; r < nranks; ++r) {
+      rank_state(r).fiber = std::make_unique<detail::Fiber>([this, &body, r] {
+        Comm comm(*this, r);
+        try {
+          body(comm);
+        } catch (const RankAborted&) {
+          // A peer failed first; the root cause is already recorded.
+        } catch (...) {
+          poison(std::current_exception());
+        }
+      });
+    }
+  }
 
   [[nodiscard]] int size() const noexcept { return nranks_; }
-
-  void init_workers(int count) {
-    workers_ = std::vector<Worker>(static_cast<std::size_t>(count));
-  }
-  [[nodiscard]] Worker& worker(int w) {
-    return workers_[static_cast<std::size_t>(w)];
-  }
 
   [[nodiscard]] bool poisoned() const noexcept {
     return poisoned_.load(std::memory_order_acquire);
@@ -111,23 +87,14 @@ class Runtime {
     if (poisoned()) throw RankAborted();
   }
 
-  /// Records the first failure and wakes every blocked rank: mailbox CVs,
-  /// the barrier CV, and all multiplexed workers. Blocked recv/barrier
-  /// calls observe the flag and throw RankAborted.
+  /// Records the first failure and wakes every worker; each blocked
+  /// recv/barrier then observes the flag and throws RankAborted.
   void poison(std::exception_ptr err) {
     {
       const std::lock_guard<std::mutex> lock(err_mu_);
       if (!first_error_) first_error_ = std::move(err);
     }
     poisoned_.store(true, std::memory_order_release);
-    // Lock-then-notify: taking each mutex guarantees any rank that checked
-    // the flag before we set it has already entered its wait.
-    for (Mailbox& box : mailboxes_) {
-      { const std::lock_guard<std::mutex> lock(box.mu); }
-      box.cv.notify_all();
-    }
-    { const std::lock_guard<std::mutex> lock(bar_mu_); }
-    bar_cv_.notify_all();
     wake_all_workers();
   }
 
@@ -139,68 +106,45 @@ class Runtime {
   /// Delivers a deep-copied message into `dest`'s mailbox.
   void post(int dest, Message msg) {
     check_rank(dest);
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
+    Rank& box = rank_state(dest);
     {
       const std::lock_guard<std::mutex> lock(box.mu);
       box.queue.push_back(std::move(msg));
     }
-    if (workers_.empty()) {
-      box.cv.notify_all();
-    } else {
-      wake_worker(dest % static_cast<int>(workers_.size()));
-    }
+    wake_worker(dest % static_cast<int>(workers_.size()));
   }
 
-  /// Blocks until a message from (source, tag) is available for `dest`,
-  /// removes and returns it. Throws RankAborted once the runtime is
-  /// poisoned (instead of waiting for a message that will never come).
+  /// Called on `dest`'s own fiber: yields until a message from
+  /// (source, tag) is queued, then removes and returns it. Throws
+  /// RankAborted once the runtime is poisoned (instead of waiting for a
+  /// message that will never come).
   Message take(int dest, int source, int tag) {
-    check_rank(dest);
     check_rank(source);
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
-    RankCtx* ctx = tl_ctx;
-    if (ctx == nullptr) {
-      std::unique_lock<std::mutex> lock(box.mu);
-      for (;;) {
-        if (poisoned()) throw RankAborted();
-        if (auto msg = match(box, source, tag)) return std::move(*msg);
-        box.cv.wait(lock);
-      }
-    }
+    Rank& me = rank_state(dest);
     for (;;) {
       {
-        const std::lock_guard<std::mutex> lock(box.mu);
+        const std::lock_guard<std::mutex> lock(me.mu);
         if (poisoned()) throw RankAborted();
-        if (auto msg = match(box, source, tag)) {
-          ctx->block = RankCtx::Block::kNone;
+        if (auto msg = match(me, source, tag)) {
+          me.block = Block::kNone;
           return std::move(*msg);
         }
         // Register the wait reason while holding the mailbox lock: a post
         // landing after this scan bumps our worker's epoch, so the yield
         // below cannot miss it.
-        ctx->block = RankCtx::Block::kRecv;
-        ctx->src = source;
-        ctx->tag = tag;
+        me.block = Block::kRecv;
+        me.src = source;
+        me.tag = tag;
       }
-      fiber_yield();
+      detail::Fiber::yield();
     }
   }
 
-  /// Non-blocking take: returns the matching message if one is queued.
-  /// Deliberately not poison-checked (it cannot deadlock); callers that
-  /// poll in a loop must abort_check() themselves (Request::test does).
-  std::optional<Message> try_take(int dest, int source, int tag) {
-    check_rank(dest);
-    check_rank(source);
-    Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
-    const std::lock_guard<std::mutex> lock(box.mu);
-    return match(box, source, tag);
-  }
-
-  /// Generation-counter barrier (std::barrier cannot be interrupted, and
-  /// the abort protocol needs to wake waiters on poison).
-  void barrier_wait() {
-    RankCtx* ctx = tl_ctx;
+  /// Generation-counter barrier, called on `rank`'s own fiber (std::barrier
+  /// cannot be interrupted, and the abort protocol needs to wake waiters
+  /// on poison).
+  void barrier_wait(int rank) {
+    Rank& me = rank_state(rank);
     std::unique_lock<std::mutex> lock(bar_mu_);
     if (poisoned()) throw RankAborted();
     const std::uint64_t my_gen = bar_gen_.load(std::memory_order_relaxed);
@@ -208,51 +152,53 @@ class Runtime {
       bar_arrived_ = 0;
       bar_gen_.store(my_gen + 1, std::memory_order_release);
       lock.unlock();
-      bar_cv_.notify_all();
       wake_all_workers();
       return;
     }
-    if (ctx == nullptr) {
-      bar_cv_.wait(lock, [&] {
-        return poisoned() ||
-               bar_gen_.load(std::memory_order_relaxed) != my_gen;
-      });
-      if (bar_gen_.load(std::memory_order_relaxed) == my_gen) {
-        throw RankAborted();  // woken by poison, not release
-      }
-      return;
-    }
-    ctx->block = RankCtx::Block::kBarrier;
-    ctx->barrier_gen = my_gen;
+    me.block = Block::kBarrier;
+    me.barrier_gen = my_gen;
     lock.unlock();
     while (bar_gen_.load(std::memory_order_acquire) == my_gen) {
       if (poisoned()) {
-        ctx->block = RankCtx::Block::kNone;
+        me.block = Block::kNone;
         throw RankAborted();
       }
-      fiber_yield();
+      detail::Fiber::yield();
     }
-    ctx->block = RankCtx::Block::kNone;
+    me.block = Block::kNone;
   }
 
-  /// Multiplexed-engine readiness: may this rank's fiber make progress?
-  [[nodiscard]] bool ready(const RankCtx& c) {
-    if (poisoned()) return true;
-    switch (c.block) {
-      case RankCtx::Block::kNone:
-        return true;
-      case RankCtx::Block::kBarrier:
-        return bar_gen_.load(std::memory_order_acquire) != c.barrier_gen;
-      case RankCtx::Block::kRecv: {
-        Mailbox& box = mailboxes_[static_cast<std::size_t>(c.rank)];
-        const std::lock_guard<std::mutex> lock(box.mu);
-        return std::any_of(box.queue.begin(), box.queue.end(),
-                           [&](const Message& m) {
-                             return m.source == c.src && m.tag == c.tag;
-                           });
+  /// Worker `w`'s scheduler: resumes its runnable rank fibers until all of
+  /// them have finished, sleeping on its epoch when none can progress.
+  void work(int w) {
+    const int stride = static_cast<int>(workers_.size());
+    std::vector<Rank*> mine;
+    for (int r = w; r < nranks_; r += stride) mine.push_back(&rank_state(r));
+    // A worker hosting one rank is that rank's lane (rank w), exactly as a
+    // dedicated rank thread would be.
+    flight::set_track(mine.size() == 1 ? "mpisim" : "mpisim.mux", w, 0);
+    Worker& me = workers_[static_cast<std::size_t>(w)];
+    std::size_t live = mine.size();
+    while (live > 0) {
+      std::uint64_t seen = 0;
+      {
+        const std::lock_guard<std::mutex> lock(me.mu);
+        seen = me.epoch;
+      }
+      bool progressed = false;
+      for (Rank* c : mine) {
+        if (c->fiber->finished() || !ready(*c)) continue;
+        c->fiber->resume();
+        progressed = true;
+        if (c->fiber->finished()) --live;
+      }
+      if (live > 0 && !progressed) {
+        // Sleep until the epoch moves past the pre-scan snapshot: any wake
+        // that raced the scan is caught by the predicate, not lost.
+        std::unique_lock<std::mutex> lock(me.mu);
+        me.cv.wait(lock, [&] { return me.epoch != seen; });
       }
     }
-    return true;
   }
 
   void note_message(std::size_t bytes) {
@@ -270,17 +216,40 @@ class Runtime {
     s.bytes_sent = stat_bytes_.load(std::memory_order_relaxed);
     s.wire_raw_bytes = stat_wire_raw_.load(std::memory_order_relaxed);
     s.wire_encoded_bytes = stat_wire_encoded_.load(std::memory_order_relaxed);
+    s.workers = static_cast<int>(workers_.size());
     return s;
   }
 
  private:
-  struct Mailbox {
-    std::mutex mu;
-    std::condition_variable cv;
+  enum class Block { kNone, kRecv, kBarrier };
+
+  /// One rank: its mailbox, its fiber, and why the fiber is blocked. The
+  /// block fields are written and read only on the rank's own worker
+  /// thread (the fiber runs there), so they need no locking; ready()
+  /// re-derives readiness from the locked mailbox and the barrier counter.
+  struct Rank {
+    std::mutex mu;  ///< guards queue
     std::deque<Message> queue;
+    std::unique_ptr<detail::Fiber> fiber;
+    Block block = Block::kNone;
+    int src = -1;
+    int tag = -1;
+    std::uint64_t barrier_gen = 0;
   };
 
-  static std::optional<Message> match(Mailbox& box, int source, int tag) {
+  /// A worker's wake channel: it sleeps until its epoch moves (message for
+  /// one of its ranks, barrier release, or poison).
+  struct Worker {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::uint64_t epoch = 0;
+  };
+
+  [[nodiscard]] Rank& rank_state(int r) {
+    return ranks_[static_cast<std::size_t>(r)];
+  }
+
+  static std::optional<Message> match(Rank& box, int source, int tag) {
     const auto it = std::find_if(
         box.queue.begin(), box.queue.end(), [&](const Message& m) {
           return m.source == source && m.tag == tag;
@@ -289,6 +258,25 @@ class Runtime {
     Message msg = std::move(*it);
     box.queue.erase(it);
     return msg;
+  }
+
+  /// May this rank's fiber make progress?
+  [[nodiscard]] bool ready(Rank& c) {
+    if (poisoned()) return true;
+    switch (c.block) {
+      case Block::kNone:
+        return true;
+      case Block::kBarrier:
+        return bar_gen_.load(std::memory_order_acquire) != c.barrier_gen;
+      case Block::kRecv: {
+        const std::lock_guard<std::mutex> lock(c.mu);
+        return std::any_of(c.queue.begin(), c.queue.end(),
+                           [&](const Message& m) {
+                             return m.source == c.src && m.tag == c.tag;
+                           });
+      }
+    }
+    return true;
   }
 
   void wake_worker(int w) {
@@ -313,11 +301,10 @@ class Runtime {
   }
 
   int nranks_;
-  std::vector<Mailbox> mailboxes_;
-  std::vector<Worker> workers_;  ///< empty in threaded mode
+  std::vector<Rank> ranks_;
+  std::vector<Worker> workers_;
 
   std::mutex bar_mu_;
-  std::condition_variable bar_cv_;
   int bar_arrived_ = 0;
   std::atomic<std::uint64_t> bar_gen_{0};
 
@@ -387,143 +374,10 @@ void Comm::recv(int source, int tag, void* buf, std::size_t bytes) {
   recv_raw(source, tag, buf, bytes);
 }
 
-void Comm::barrier() { rt_->barrier_wait(); }
-
-Request Comm::irecv(int source, int tag, void* buf, std::size_t bytes) {
-  check_user_tag(tag);
-  Request req;
-  req.comm_ = this;
-  req.source_ = source;
-  req.tag_ = tag;
-  req.buf_ = buf;
-  req.bytes_ = bytes;
-  req.done_ = false;
-  return req;
-}
-
-Request::~Request() {
-  assert(done_ &&
-         "destroying an incomplete mpisim::Request (wait(), test() or "
-         "cancel() it first)");
-}
-
-Request::Request(Request&& other) noexcept
-    : comm_(other.comm_),
-      source_(other.source_),
-      tag_(other.tag_),
-      buf_(other.buf_),
-      bytes_(other.bytes_),
-      done_(other.done_) {
-  other.comm_ = nullptr;
-  other.done_ = true;
-}
-
-Request& Request::operator=(Request&& other) noexcept {
-  if (this != &other) {
-    assert(done_ && "overwriting an incomplete mpisim::Request");
-    comm_ = other.comm_;
-    source_ = other.source_;
-    tag_ = other.tag_;
-    buf_ = other.buf_;
-    bytes_ = other.bytes_;
-    done_ = other.done_;
-    other.comm_ = nullptr;
-    other.done_ = true;
-  }
-  return *this;
-}
-
-void Request::wait() {
-  if (done_) return;
-  comm_->recv_raw(source_, tag_, buf_, bytes_);
-  done_ = true;
-}
-
-bool Request::test() {
-  if (done_) return true;
-  comm_->rt_->abort_check();  // a poll loop must not spin on a dead peer
-  auto msg = comm_->rt_->try_take(comm_->rank_, source_, tag_);
-  if (!msg) return false;
-  if (msg->data.size() != bytes_) {
-    throw std::logic_error("mpisim: irecv size mismatch");
-  }
-  copy_bytes(buf_, msg->data.data(), bytes_);
-  done_ = true;
-  return true;
-}
-
-void Request::cancel() {
-  if (done_) return;
-  // Discard the message if it already arrived so it cannot cross-match a
-  // later receive; a message sent after this point stays in the mailbox.
-  (void)comm_->rt_->try_take(comm_->rank_, source_, tag_);
-  done_ = true;
-}
-
-void Comm::bcast(void* buf, std::size_t bytes, int root) {
-  const int tag = next_collective_tag();
-  if (rank_ == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r != root) send_raw(r, tag, buf, bytes);
-    }
-  } else {
-    recv_raw(root, tag, buf, bytes);
-  }
-}
-
-void Comm::gather(const void* send_buf, std::size_t bytes_each, void* recv_buf,
-                  int root) {
-  const int tag = next_collective_tag();
-  if (rank_ == root) {
-    auto* out = static_cast<std::byte*>(recv_buf);
-    for (int r = 0; r < size(); ++r) {
-      std::byte* slot = out + static_cast<std::size_t>(r) * bytes_each;
-      if (r == root) {
-        copy_bytes(slot, send_buf, bytes_each);
-      } else {
-        recv_raw(r, tag, slot, bytes_each);
-      }
-    }
-  } else {
-    send_raw(root, tag, send_buf, bytes_each);
-  }
-}
-
-void Comm::scatter(const void* send_buf, std::size_t bytes_each,
-                   void* recv_buf, int root) {
-  const int tag = next_collective_tag();
-  if (rank_ == root) {
-    const auto* in = static_cast<const std::byte*>(send_buf);
-    for (int r = 0; r < size(); ++r) {
-      const std::byte* slot = in + static_cast<std::size_t>(r) * bytes_each;
-      if (r == root) {
-        copy_bytes(recv_buf, slot, bytes_each);
-      } else {
-        send_raw(r, tag, slot, bytes_each);
-      }
-    }
-  } else {
-    recv_raw(root, tag, recv_buf, bytes_each);
-  }
-}
-
-void Comm::allgather(const void* send_buf, std::size_t bytes_each,
-                     void* recv_buf) {
-  gather(send_buf, bytes_each, recv_buf, /*root=*/0);
-  bcast(recv_buf, bytes_each * static_cast<std::size_t>(size()), /*root=*/0);
-}
-
-void Comm::sendrecv(int dest, const void* send_buf, std::size_t send_bytes,
-                    int source, void* recv_buf, std::size_t recv_bytes,
-                    int tag) {
-  send(dest, tag, send_buf, send_bytes);
-  recv(source, tag, recv_buf, recv_bytes);
-}
+void Comm::barrier() { rt_->barrier_wait(rank_); }
 
 // ---------------------------------------------------------------------------
-// Collectives: one implementation shared by Comm (identity rank map) and
-// Comm::Group (member map). Four topologies over the same codec-aware
-// transport; docs/MPISIM.md derives the schedules and the FIFO-tag
+// Collectives: four topologies over the same codec-aware transport; docs/MPISIM.md derives the schedules and the FIFO-tag
 // argument that lets a whole collective reuse a single tag.
 
 struct detail::Coll {
@@ -547,9 +401,8 @@ struct detail::Coll {
 
   struct Ctx {
     Comm& c;
-    const std::vector<int>* map;  ///< group members, or null for identity
-    int me;                       ///< my index in the collective
-    int p;                        ///< collective size
+    int me;  ///< my rank
+    int p;   ///< world size
     int tag;
     const Datatype& dt;
     const Op& op;
@@ -558,11 +411,7 @@ struct detail::Coll {
     std::vector<std::byte> scratch;  ///< recv_combine staging, lazily sized
   };
 
-  static int real_rank(const Ctx& x, int idx) {
-    return x.map ? (*x.map)[static_cast<std::size_t>(idx)] : idx;
-  }
-
-  /// Collective index of virtual rank v in the power-of-two phase.
+  /// Rank of virtual rank v in the power-of-two phase.
   static int vreal(const Pow2& s, int v) { return v < s.r ? 2 * v : v + s.r; }
 
   static void note_wire(Ctx& x, std::size_t raw_bytes,
@@ -580,13 +429,13 @@ struct detail::Coll {
     const std::byte* p = base + lo * x.dt.size;
     if (!x.sparse) {
       note_wire(x, raw_bytes, raw_bytes);
-      x.c.send_raw(real_rank(x, to), x.tag, p, raw_bytes);
+      x.c.send_raw(to, x.tag, p, raw_bytes);
       return;
     }
     const std::vector<std::byte> msg =
         x.op.codec->encode(p, hi - lo, x.op.observed_status());
     note_wire(x, raw_bytes, msg.size());
-    x.c.send_raw(real_rank(x, to), x.tag, msg.data(), msg.size());
+    x.c.send_raw(to, x.tag, msg.data(), msg.size());
   }
 
   /// Receives elements [lo, hi) into `base` (no combine). Sparse mode ORs
@@ -594,11 +443,11 @@ struct detail::Coll {
   static void recv_range(Ctx& x, int from, std::byte* base, std::size_t lo,
                          std::size_t hi) {
     if (!x.sparse) {
-      x.c.recv_raw(real_rank(x, from), x.tag, base + lo * x.dt.size,
+      x.c.recv_raw(from, x.tag, base + lo * x.dt.size,
                    (hi - lo) * x.dt.size);
       return;
     }
-    const std::vector<std::byte> msg = x.c.recv_any(real_rank(x, from), x.tag);
+    const std::vector<std::byte> msg = x.c.recv_any(from, x.tag);
     const std::uint8_t st = x.op.codec->decode(
         msg.data(), msg.size(), base + lo * x.dt.size, hi - lo);
     if (st != 0) {
@@ -748,7 +597,7 @@ struct detail::Coll {
       for (int g = 0; g < x.p; ++g) {
         if (g == root) continue;
         note_wire(x, raw_bytes, raw_bytes);
-        x.c.send_raw(real_rank(x, g), x.tag, buf, raw_bytes);
+        x.c.send_raw(g, x.tag, buf, raw_bytes);
       }
       return;
     }
@@ -757,7 +606,7 @@ struct detail::Coll {
     for (int g = 0; g < x.p; ++g) {
       if (g == root) continue;
       note_wire(x, raw_bytes, msg.size());
-      x.c.send_raw(real_rank(x, g), x.tag, msg.data(), msg.size());
+      x.c.send_raw(g, x.tag, msg.data(), msg.size());
     }
   }
 
@@ -836,10 +685,9 @@ struct detail::Coll {
     }
   }
 
-  static void reduce(Comm& c, const std::vector<int>* map, int me, int p,
-                     const void* send_buf, void* recv_buf, std::size_t count,
-                     const Datatype& dt, const Op& op, int root,
-                     ReduceAlgo algo) {
+  static void reduce(Comm& c, const void* send_buf, void* recv_buf,
+                     std::size_t count, const Datatype& dt, const Op& op,
+                     int root, ReduceAlgo algo) {
     begin(op, algo);
     ReduceAlgo effective = algo;
     if (count == 0 && (algo == ReduceAlgo::kRecursiveDoubling ||
@@ -848,7 +696,7 @@ struct detail::Coll {
       // moves every rank's (status-carrying) empty message to the root.
       effective = ReduceAlgo::kLinear;
     }
-    Ctx x{c,  map, me, p, c.next_collective_tag(), dt, op, count,
+    Ctx x{c, c.rank(), c.size(), c.next_collective_tag(), dt, op, count,
           op.codec != nullptr, {}};
     const flight::Span reduce_span(flight::EventId::kMpiReduce,
                                    flight::current_reduction_id(),
@@ -857,8 +705,7 @@ struct detail::Coll {
                 static_cast<std::byte*>(recv_buf), root, effective);
   }
 
-  static void allreduce(Comm& c, const std::vector<int>* map, int me, int p,
-                        const void* send_buf, void* recv_buf,
+  static void allreduce(Comm& c, const void* send_buf, void* recv_buf,
                         std::size_t count, const Datatype& dt, const Op& op,
                         ReduceAlgo algo) {
     begin(op, algo);
@@ -867,7 +714,7 @@ struct detail::Coll {
                        algo == ReduceAlgo::kRecursiveHalving)) {
       effective = ReduceAlgo::kBinomialTree;
     }
-    Ctx x{c,  map, me, p, c.next_collective_tag(), dt, op, count,
+    Ctx x{c, c.rank(), c.size(), c.next_collective_tag(), dt, op, count,
           op.codec != nullptr, {}};
     const flight::Span reduce_span(flight::EventId::kMpiReduce,
                                    flight::current_reduction_id(),
@@ -908,197 +755,40 @@ struct detail::Coll {
 void Comm::reduce(const void* send_buf, void* recv_buf, std::size_t count,
                   const Datatype& dt, const Op& op, int root,
                   ReduceAlgo algo) {
-  detail::Coll::reduce(*this, nullptr, rank_, size(), send_buf, recv_buf,
-                       count, dt, op, root, algo);
+  detail::Coll::reduce(*this, send_buf, recv_buf, count, dt, op, root, algo);
 }
 
 void Comm::allreduce(const void* send_buf, void* recv_buf, std::size_t count,
                      const Datatype& dt, const Op& op, ReduceAlgo algo) {
-  detail::Coll::allreduce(*this, nullptr, rank_, size(), send_buf, recv_buf,
-                          count, dt, op, algo);
+  detail::Coll::allreduce(*this, send_buf, recv_buf, count, dt, op, algo);
 }
-
-Comm::Group Comm::split(int color, int key) {
-  // Collective: allgather every rank's (color, key).
-  struct ColorKey {
-    int color;
-    int key;
-  };
-  const ColorKey mine{color, key};
-  std::vector<ColorKey> all(static_cast<std::size_t>(size()));
-  allgather(&mine, sizeof mine, all.data());
-
-  // Group members: ranks with my color, ordered by (key, parent rank).
-  std::vector<int> members;
-  for (int r = 0; r < size(); ++r) {
-    if (all[static_cast<std::size_t>(r)].color == color) members.push_back(r);
-  }
-  std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-    return all[static_cast<std::size_t>(a)].key <
-           all[static_cast<std::size_t>(b)].key;
-  });
-  int my_index = 0;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (members[i] == rank_) my_index = static_cast<int>(i);
-  }
-  return Group(*this, std::move(members), my_index);
-}
-
-void Comm::Group::barrier() {
-  const int tag = parent_->next_collective_tag();
-  const char token = 0;
-  if (my_index_ == 0) {
-    char sink = 0;
-    for (int g = 1; g < size(); ++g) {
-      parent_->recv_raw(parent_rank(g), tag, &sink, sizeof sink);
-    }
-    for (int g = 1; g < size(); ++g) {
-      parent_->send_raw(parent_rank(g), tag, &token, sizeof token);
-    }
-  } else {
-    parent_->send_raw(parent_rank(0), tag, &token, sizeof token);
-    char sink = 0;
-    parent_->recv_raw(parent_rank(0), tag, &sink, sizeof sink);
-  }
-}
-
-void Comm::Group::bcast(void* buf, std::size_t bytes, int group_root) {
-  const int tag = parent_->next_collective_tag();
-  if (my_index_ == group_root) {
-    for (int g = 0; g < size(); ++g) {
-      if (g != group_root) parent_->send_raw(parent_rank(g), tag, buf, bytes);
-    }
-  } else {
-    parent_->recv_raw(parent_rank(group_root), tag, buf, bytes);
-  }
-}
-
-void Comm::Group::reduce(const void* send_buf, void* recv_buf,
-                         std::size_t count, const Datatype& dt, const Op& op,
-                         int group_root, ReduceAlgo algo) {
-  detail::Coll::reduce(*parent_, &members_, my_index_, size(), send_buf,
-                       recv_buf, count, dt, op, group_root, algo);
-}
-
-// ---------------------------------------------------------------------------
-// Engines.
-
-namespace {
-
-/// Rank bodies run under this wrapper in both engines: the first real
-/// failure poisons the runtime (waking every blocked peer); the resulting
-/// RankAborted cascade on other ranks is expected and not re-recorded.
-void guarded_body(Runtime& rt, const std::function<void(Comm&)>& body,
-                  Comm& comm) {
-  try {
-    body(comm);
-  } catch (const RankAborted&) {
-    // A peer failed first; the root cause is already recorded.
-  } catch (...) {
-    rt.poison(std::current_exception());
-  }
-}
-
-#if HPSUM_MPISIM_HAS_FIBERS
-void worker_loop(Runtime& rt, std::vector<RankCtx>& ctxs, int nranks, int w,
-                 int workers) {
-  std::vector<RankCtx*> mine;
-  for (int r = w; r < nranks; r += workers) {
-    mine.push_back(&ctxs[static_cast<std::size_t>(r)]);
-  }
-  std::size_t live = mine.size();
-  Runtime::Worker& me = rt.worker(w);
-  while (live > 0) {
-    std::uint64_t seen = 0;
-    {
-      const std::lock_guard<std::mutex> lock(me.mu);
-      seen = me.epoch;
-    }
-    bool progressed = false;
-    for (RankCtx* c : mine) {
-      if (c->done || !rt.ready(*c)) continue;
-      tl_ctx = c;
-      c->fiber->resume();
-      tl_ctx = nullptr;
-      progressed = true;
-      if (c->fiber->finished()) {
-        c->done = true;
-        --live;
-      }
-    }
-    if (live > 0 && !progressed) {
-      // Sleep until the epoch moves past the pre-scan snapshot: any wake
-      // that raced the scan is caught by the predicate, not lost.
-      std::unique_lock<std::mutex> lock(me.mu);
-      me.cv.wait(lock, [&] { return me.epoch != seen; });
-    }
-  }
-}
-#endif  // HPSUM_MPISIM_HAS_FIBERS
-
-}  // namespace
 
 void run(int nranks, const std::function<void(Comm&)>& body,
          const RunOptions& opts) {
   if (nranks < 1) {
     throw std::invalid_argument("mpisim::run: nranks must be >= 1");
   }
-  RunMode mode = opts.mode;
-  if (mode == RunMode::kAuto) {
-    mode = nranks <= kAutoThreadLimit ? RunMode::kThreads
-                                      : RunMode::kMultiplexed;
-  }
-#if !HPSUM_MPISIM_HAS_FIBERS
-  mode = RunMode::kThreads;
-#endif
-  Runtime rt(nranks);
-  int workers_used = 0;
-  if (mode == RunMode::kThreads) {
-    workers_used = nranks;
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      threads.emplace_back([&rt, &body, r] {
-        flight::set_track("mpisim", r, 0);
-        Comm comm(rt, r);
-        guarded_body(rt, body, comm);
-      });
-    }
-    threads.clear();  // join: every rank either finished or aborted
-  } else {
-#if HPSUM_MPISIM_HAS_FIBERS
+  int workers = opts.workers;
+  if (workers <= 0) {
     const auto hw = static_cast<int>(std::thread::hardware_concurrency());
-    int workers = opts.workers > 0 ? opts.workers : (hw > 0 ? hw : 1);
-    workers = std::min(workers, nranks);
-    workers_used = workers;
-    rt.init_workers(workers);
-    std::vector<RankCtx> ctxs(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      RankCtx& c = ctxs[static_cast<std::size_t>(r)];
-      c.rank = r;
-      c.fiber = std::make_unique<detail::Fiber>(
-          opts.stack_bytes, [&rt, &body, r] {
-            Comm comm(rt, r);
-            guarded_body(rt, body, comm);
-          });
-    }
-    {
-      std::vector<std::jthread> pool;
-      pool.reserve(static_cast<std::size_t>(workers));
+    workers = nranks <= kOneWorkerPerRankLimit ? nranks : std::max(hw, 1);
+  }
+  workers = std::min(workers, nranks);
+  Runtime rt(nranks, workers, body);
+  {
+    std::vector<std::jthread> pool;
+    pool.reserve(static_cast<std::size_t>(workers));
+    try {
       for (int w = 0; w < workers; ++w) {
-        pool.emplace_back([&rt, &ctxs, nranks, w, workers] {
-          flight::set_track("mpisim.mux", w, 0);
-          worker_loop(rt, ctxs, nranks, w, workers);
-        });
+        pool.emplace_back([&rt, w] { rt.work(w); });
       }
+    } catch (...) {
+      // A worker failed to start: its ranks never run, so the started
+      // workers' ranks must abort rather than wait on them forever.
+      rt.poison(std::current_exception());
     }
-#endif  // HPSUM_MPISIM_HAS_FIBERS
-  }
-  if (opts.stats != nullptr) {
-    *opts.stats = rt.stats_snapshot();
-    opts.stats->workers = workers_used;
-    opts.stats->mode = mode;
-  }
+  }  // join: every rank either finished or aborted
+  if (opts.stats != nullptr) *opts.stats = rt.stats_snapshot();
   if (std::exception_ptr err = rt.first_error()) {
     std::rethrow_exception(err);
   }

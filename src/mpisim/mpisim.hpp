@@ -14,20 +14,17 @@
 //     orders, which is precisely what makes double sums irreproducible and
 //     HP sums bit-identical across topologies.
 //
-// Rank bodies run either on std::jthreads (one per rank) or, for large
-// rank counts, multiplexed as cooperative fibers over a bounded worker
-// pool — see RunMode. Ops may attach a WireCodec to compress payloads and
-// carry their status mask in-band (see hp_ops.hpp / docs/FORMAT.md).
+// Rank bodies run as cooperative fibers on a worker pool: one worker per
+// rank up to 128 ranks, hardware_concurrency workers above (RunOptions).
+// Ops may attach a WireCodec to compress payloads and carry their status
+// mask in-band (see hp_ops.hpp / docs/FORMAT.md).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -36,8 +33,8 @@ namespace hpsum::mpisim {
 
 /// Collective operations stamp their messages with tags at or above this
 /// base; user point-to-point tags must stay in [0, kUserTagLimit). Enforced
-/// by send/recv/irecv/sendrecv (std::invalid_argument) so a point-to-point
-/// message can never cross-match a collective and corrupt a reduction.
+/// by send/recv (std::invalid_argument) so a point-to-point message can
+/// never cross-match a collective and corrupt a reduction.
 inline constexpr int kUserTagLimit = 1 << 20;
 
 namespace detail {
@@ -112,7 +109,7 @@ struct Op {
   /// Without a codec, gather conditions from *all* ranks by reducing the
   /// mask too (see reduce_hp_value).
   ///
-  /// Scope is ONE reduction: Comm::reduce / Comm::Group::reduce clear the
+  /// Scope is ONE reduction: Comm::reduce / Comm::allreduce clear the
   /// mask on entry, so observed_status() after a reduction reports that
   /// reduction's conditions only. (An Op reused across reductions used to
   /// bleed an overflow seen in one allreduce into the status of later,
@@ -163,63 +160,9 @@ enum class ReduceAlgo {
 class Runtime;
 class Comm;
 
-/// Handle for a non-blocking receive (MPI_Request analogue). Obtained from
-/// Comm::irecv; completed by wait() or polled by test(), or abandoned with
-/// cancel(). Move-only: the handle owns the obligation to complete the
-/// receive. Destroying an incomplete Request is an error surfaced by
-/// assertion in debug builds (the posted receive — and the message once it
-/// arrives — would otherwise leak in the mailbox).
-class Request {
- public:
-  Request() = default;
-  ~Request();
-  Request(Request&& other) noexcept;
-  Request& operator=(Request&& other) noexcept;
-  Request(const Request&) = delete;
-  Request& operator=(const Request&) = delete;
-
-  /// Blocks until the message arrives and is copied into the buffer.
-  void wait();
-
-  /// Non-blocking completion check; copies and returns true if available.
-  [[nodiscard]] bool test();
-
-  /// Abandons the receive: discards the matching message if it has already
-  /// been delivered (so it cannot cross-match a later receive) and marks
-  /// the request complete without filling the buffer. A message sent
-  /// *after* cancel() is not intercepted — as with MPI_Cancel, cancelling
-  /// a receive whose sender still sends leaves that message to a later
-  /// matching receive.
-  void cancel();
-
-  /// True once the message has been delivered into the buffer (or the
-  /// request was cancelled).
-  [[nodiscard]] bool done() const noexcept { return done_; }
-
- private:
-  friend class Comm;
-  Comm* comm_ = nullptr;
-  int source_ = -1;
-  int tag_ = -1;
-  void* buf_ = nullptr;
-  std::size_t bytes_ = 0;
-  bool done_ = true;
-};
-
-/// How run() executes rank bodies.
-enum class RunMode {
-  /// kThreads for small rank counts, kMultiplexed above 128 ranks (falls
-  /// back to kThreads where fibers are unavailable).
-  kAuto,
-  /// One std::jthread per rank — real preemptive parallelism, caps out
-  /// near OS thread limits.
-  kThreads,
-  /// Cooperative fibers multiplexed over a bounded worker pool: a rank
-  /// blocked in recv/barrier yields its worker. Scales to thousands of
-  /// simulated ranks; requires rank bodies to block only through mpisim
-  /// primitives (the usual SPMD shape).
-  kMultiplexed
-};
+/// The execution engine. Fibers on a worker pool are the only one; the
+/// one-value enum stays because perfbench/hpsum_perf.cpp still names it.
+enum class RunMode { kMultiplexed };
 
 /// Aggregate statistics for one run(), collected with plain atomics so
 /// they are exact even when the trace subsystem is compiled out
@@ -232,18 +175,18 @@ struct RunStats {
   std::uint64_t wire_raw_bytes = 0;
   /// Collective payload bytes actually posted after any Op codec.
   std::uint64_t wire_encoded_bytes = 0;
-  int workers = 0;                      ///< worker threads used
-  RunMode mode = RunMode::kThreads;     ///< resolved execution mode
+  int workers = 0;  ///< worker threads used
 };
 
-/// Tuning knobs for run(). Defaults reproduce the historical behavior for
-/// small rank counts and switch to the multiplexed engine for large ones.
+/// Tuning knobs for run().
 struct RunOptions {
-  RunMode mode = RunMode::kAuto;
-  /// Worker threads for kMultiplexed (0 = hardware concurrency).
+  /// Ignored: there is one engine (see RunMode).
+  RunMode mode = RunMode::kMultiplexed;
+  /// Worker threads; rank r runs on worker r % workers. 0 = one worker per
+  /// rank up to 128 ranks (each rank keeps its own OS thread, so thread-CPU
+  /// timers inside a rank body time that rank alone), hardware_concurrency
+  /// workers above. Capped at the rank count.
   int workers = 0;
-  /// Stack bytes per fiber in kMultiplexed.
-  std::size_t stack_bytes = 256 * 1024;
   /// When non-null, filled with this run's statistics on completion.
   RunStats* stats = nullptr;
 };
@@ -271,40 +214,6 @@ class Comm {
   /// Synchronizes all ranks.
   void barrier();
 
-  /// Broadcasts root's buffer to all ranks.
-  void bcast(void* buf, std::size_t bytes, int root);
-
-  /// Gathers `bytes_each` from every rank into root's `recv` buffer
-  /// (rank-major). `recv` may be null on non-root ranks.
-  void gather(const void* send, std::size_t bytes_each, void* recv, int root);
-
-  /// Scatters rank-major slices of root's `send` buffer: each rank receives
-  /// its `bytes_each` slice into `recv`. `send` may be null on non-root
-  /// ranks. This is how the Fig 6 benchmark distributes the summand array.
-  void scatter(const void* send, std::size_t bytes_each, void* recv, int root);
-
-  /// Gather followed by broadcast: every rank ends with all ranks'
-  /// contributions (rank-major) in `recv`.
-  void allgather(const void* send, std::size_t bytes_each, void* recv);
-
-  /// Combined send+recv (never deadlocks: delivery is asynchronous).
-  void sendrecv(int dest, const void* send_buf, std::size_t send_bytes,
-                int source, void* recv_buf, std::size_t recv_bytes, int tag);
-
-  /// Non-blocking send (MPI_Isend analogue). Because sends deep-copy into
-  /// the destination mailbox immediately, the buffer is reusable on
-  /// return; no request object is needed (equivalent to MPI_Ibsend with
-  /// infinite buffering).
-  void isend(int dest, int tag, const void* buf, std::size_t bytes) {
-    send(dest, tag, buf, bytes);
-  }
-
-  /// Non-blocking receive (MPI_Irecv analogue): returns immediately; the
-  /// buffer is filled when the returned Request is wait()ed or test()s
-  /// true. Lets a rank post a receive, keep computing, then synchronize.
-  [[nodiscard]] Request irecv(int source, int tag, void* buf,
-                              std::size_t bytes);
-
   /// Element-wise reduction of `count` elements of `dt` to `root`
   /// (MPI_Reduce analogue). `recv` may be null on non-root ranks.
   void reduce(const void* send, void* recv, std::size_t count,
@@ -321,18 +230,8 @@ class Comm {
                  const Datatype& dt, const Op& op,
                  ReduceAlgo algo = ReduceAlgo::kBinomialTree);
 
-  /// Splits the communicator by color (MPI_Comm_split analogue): ranks
-  /// sharing a color form a group, ordered by (key, parent rank). The
-  /// returned group handle supports the collective subset hierarchical
-  /// reductions need (rank/size/barrier/bcast/reduce). Must be called by
-  /// every rank (it is itself a collective).
-  class Group;
-  [[nodiscard]] Group split(int color, int key = 0);
-
  private:
-  friend void run(int nranks, const std::function<void(Comm&)>& body,
-                  const RunOptions& opts);
-  friend class Request;
+  friend class Runtime;
   friend struct detail::Coll;
   Comm(Runtime& rt, int rank) : rt_(&rt), rank_(rank) {}
 
@@ -355,52 +254,11 @@ class Comm {
   std::uint64_t coll_seq_ = 0;
 };
 
-/// A color group produced by Comm::split: the subset collectives used for
-/// hierarchical (e.g. intra-node then inter-node) reductions. All tag
-/// management rides on the parent communicator, so every group member must
-/// issue the same sequence of group collectives (the usual SPMD contract).
-class Comm::Group {
- public:
-  /// This rank's index within the group, in (key, parent-rank) order.
-  [[nodiscard]] int rank() const noexcept { return my_index_; }
-
-  /// Number of ranks in the group.
-  [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(members_.size());
-  }
-
-  /// Parent rank of group member `group_rank`.
-  [[nodiscard]] int parent_rank(int group_rank) const {
-    return members_.at(static_cast<std::size_t>(group_rank));
-  }
-
-  /// Synchronizes the group (linear gather + release through group root).
-  void barrier();
-
-  /// Broadcasts group-root's buffer to the group.
-  void bcast(void* buf, std::size_t bytes, int group_root);
-
-  /// Element-wise reduction to the group root (same semantics as
-  /// Comm::reduce, restricted to the group; all four algorithms apply).
-  void reduce(const void* send, void* recv, std::size_t count,
-              const Datatype& dt, const Op& op, int group_root,
-              ReduceAlgo algo = ReduceAlgo::kBinomialTree);
-
- private:
-  friend class Comm;
-  Group(Comm& parent, std::vector<int> members, int my_index)
-      : parent_(&parent), members_(std::move(members)), my_index_(my_index) {}
-
-  Comm* parent_;
-  std::vector<int> members_;  ///< parent ranks, group order
-  int my_index_;
-};
-
-/// Launches `nranks` rank bodies (threads or multiplexed fibers, per
-/// RunOptions) and waits for completion. If any rank body throws, the
-/// runtime is poisoned: every other rank blocked in a communication call
-/// aborts with RankAborted (no deadlock), and the first original error is
-/// rethrown here.
+/// Launches `nranks` rank bodies as fibers on a worker pool (RunOptions)
+/// and waits for completion. If any rank body throws, the runtime is
+/// poisoned: every other rank blocked in a communication call aborts with
+/// RankAborted (no deadlock), and the first original error is rethrown
+/// here.
 void run(int nranks, const std::function<void(Comm&)>& body,
          const RunOptions& opts);
 void run(int nranks, const std::function<void(Comm&)>& body);

@@ -79,12 +79,11 @@ HpFixed<kN, kK> via_openmp(const std::vector<double>& xs, int pes) {
 HpFixed<kN, kK> via_mpisim(const std::vector<double>& xs, int ranks,
                            mpisim::ReduceAlgo algo,
                            mpisim::Wire wire = mpisim::Wire::kRaw,
-                           mpisim::RunMode mode = mpisim::RunMode::kAuto) {
+                           int workers = 0) {
   const HpConfig cfg{kN, kK};
   HpFixed<kN, kK> out;
   mpisim::RunOptions opts;
-  opts.mode = mode;
-  opts.workers = 3;
+  opts.workers = workers;
   mpisim::run(
       ranks,
       [&](mpisim::Comm& comm) {
@@ -155,8 +154,9 @@ TEST(CrossBackend, AllEnvironmentsAgreeBitForBit) {
 
 TEST(CrossBackend, MpisimTopologyWireEngineMatrixMatchesSequential) {
   // The distributed layer's own invariance matrix, against the sequential
-  // reference: four reduction topologies × raw/sparse wire × threaded/
-  // multiplexed engines must all reproduce the same limbs.
+  // reference: four reduction topologies × raw/sparse wire × one worker
+  // per rank or fibers sharing one or three workers must all reproduce the
+  // same limbs.
   const auto xs = workload::uniform_set(30000, 781);
   const auto ref = via_sequential(xs);
   for (const auto algo :
@@ -164,12 +164,10 @@ TEST(CrossBackend, MpisimTopologyWireEngineMatrixMatchesSequential) {
         mpisim::ReduceAlgo::kRecursiveDoubling,
         mpisim::ReduceAlgo::kRecursiveHalving}) {
     for (const auto wire : {mpisim::Wire::kRaw, mpisim::Wire::kSparse}) {
-      for (const auto mode :
-           {mpisim::RunMode::kThreads, mpisim::RunMode::kMultiplexed}) {
-        EXPECT_EQ(via_mpisim(xs, 7, algo, wire, mode), ref)
+      for (const int workers : {0, 1, 3}) {
+        EXPECT_EQ(via_mpisim(xs, 7, algo, wire, workers), ref)
             << "algo=" << static_cast<int>(algo)
-            << " wire=" << static_cast<int>(wire)
-            << " mode=" << static_cast<int>(mode);
+            << " wire=" << static_cast<int>(wire) << " workers=" << workers;
       }
     }
   }

@@ -1,14 +1,22 @@
 // Property tests of the paper's headline claim (§III.B.3): given sufficient
 // precision, an HP sum is invariant to summation order — bit for bit —
 // under permutations, partitionings, and merge-tree shapes; and the claim
-// holds across every paper configuration and workload family.
+// holds across every paper configuration and workload family. For up to 7
+// summands the claim is proved exhaustively: every order × every tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <numeric>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/hp_dyn.hpp"
+#include "core/hp_fixed.hpp"
 #include "core/reduce.hpp"
 #include "util/prng.hpp"
 #include "workload/workload.hpp"
@@ -149,6 +157,155 @@ TEST(InvarianceEdge, SingleElementAndEmpty) {
   EXPECT_TRUE(reduce_hp(std::span<const double>{}, cfg).is_zero());
   const std::vector<double> one = {0.125};
   EXPECT_EQ(reduce_hp(one, cfg).to_double(), 0.125);
+}
+
+// ---------------------------------------------------------------------------
+// Exhaustive order invariance: for n <= 7 summands, every one of the n!
+// orders combined through every one of the Catalan(n-1) binary bracketings
+// (5,040 x 132 trees at n = 7; Monroe & Job count the inequivalent ones).
+// Each summand is converted to HP once; a tree adds HP values, so its
+// status is the OR of the leaves' conversion flags and any add overflow.
+
+/// Every full binary bracketing of n leaves in postfix form: 'x' pushes
+/// the next summand of the order, '+' replaces the top two with their sum.
+std::vector<std::string> bracketings(int n) {
+  if (n == 1) return {"x"};
+  std::vector<std::string> out;
+  for (int left = 1; left < n; ++left) {
+    for (const std::string& l : bracketings(left)) {
+      for (const std::string& r : bracketings(n - left)) {
+        out.push_back(l + r + "+");
+      }
+    }
+  }
+  return out;
+}
+
+template <class T>
+T eval_tree(const std::string& tree, const std::vector<T>& leaves,
+            const std::vector<int>& order) {
+  std::vector<T> stack;
+  stack.reserve(leaves.size());
+  std::size_t next = 0;
+  for (const char op : tree) {
+    if (op == 'x') {
+      stack.push_back(leaves[static_cast<std::size_t>(order[next++])]);
+    } else {
+      const T right = stack.back();
+      stack.pop_back();
+      stack.back() += right;
+    }
+  }
+  return stack.back();
+}
+
+struct Sweep {
+  std::uint64_t trees = 0;
+  std::uint64_t limb_mismatches = 0;    ///< trees whose limbs differ from ref
+  std::uint64_t status_mismatches = 0;  ///< trees whose status differs
+  std::set<std::uint8_t> statuses;      ///< HP status masks at the largest n
+  std::size_t distinct_doubles = 0;     ///< double results at the largest n
+};
+
+/// Sums every prefix xs[0..n) of the corpus (n = 1..xs.size()) through
+/// every order and tree; the reference for each n is the left-to-right sum
+/// in corpus order.
+template <int N, int K>
+Sweep sweep_all_trees(const std::vector<double>& xs) {
+  Sweep out;
+  for (int n = 1; n <= static_cast<int>(xs.size()); ++n) {
+    std::vector<HpFixed<N, K>> hp_leaves;
+    std::vector<double> dbl_leaves;
+    for (int i = 0; i < n; ++i) {
+      hp_leaves.emplace_back(xs[static_cast<std::size_t>(i)]);
+      dbl_leaves.push_back(xs[static_cast<std::size_t>(i)]);
+    }
+    const std::vector<std::string> trees = bracketings(n);
+    std::vector<int> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    const HpFixed<N, K> ref = eval_tree(trees.front(), hp_leaves, order);
+    std::set<std::uint64_t> doubles;
+    out.statuses.clear();
+    do {
+      for (const std::string& tree : trees) {
+        const HpFixed<N, K> hp = eval_tree(tree, hp_leaves, order);
+        ++out.trees;
+        if (hp.limbs() != ref.limbs()) ++out.limb_mismatches;
+        if (hp.status() != ref.status()) ++out.status_mismatches;
+        out.statuses.insert(static_cast<std::uint8_t>(hp.status()));
+        doubles.insert(
+            std::bit_cast<std::uint64_t>(eval_tree(tree, dbl_leaves, order)));
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+    out.distinct_doubles = doubles.size();
+  }
+  std::printf("  %llu trees, %llu with a different HP status; at n = %zu: "
+              "%zu HP status mask(s), %zu distinct double results\n",
+              static_cast<unsigned long long>(out.trees),
+              static_cast<unsigned long long>(out.status_mismatches),
+              xs.size(), out.statuses.size(), out.distinct_doubles);
+  return out;
+}
+
+// 1! x C0 + 2! x C1 + ... + 7! x C6 trees per 7-value corpus.
+constexpr std::uint64_t kTreesUpToSeven =
+    1 + 2 * 1 + 6 * 2 + 24 * 5 + 120 * 14 + 720 * 42 + 5040 * 132;
+
+TEST(ExhaustiveOrder, MixedMagnitudesGiveOneHpResult) {
+  // Forty decades in HP(6,3); every value is exact (no bits below the
+  // 2^-192 lsb), so every tree must also report kOk.
+  const std::vector<double> xs = {1e40,    -3.25e38, 1.0 / 3.0, 7.5e-12,
+                                  -2e-30,  6.02e23,  -9.75e39};
+  const Sweep s = sweep_all_trees<6, 3>(xs);
+  EXPECT_EQ(s.trees, kTreesUpToSeven);
+  EXPECT_EQ(s.limb_mismatches, 0u);
+  EXPECT_EQ(s.status_mismatches, 0u);
+  EXPECT_EQ(s.statuses, std::set<std::uint8_t>{0});
+  EXPECT_GT(s.distinct_doubles, 1u);  // the double sums do depend on order
+}
+
+TEST(ExhaustiveOrder, CancellationGivesOneHpResult) {
+  // Big terms cancel exactly and leave the small ones; in double the small
+  // ones are absorbed or not depending on when the big ones meet.
+  const std::vector<double> xs = {1e18, 3.0,   -1e18,  0x1p-60,
+                                  -3.0, 1e-10, -0x1p-60};
+  const Sweep s = sweep_all_trees<3, 2>(xs);
+  EXPECT_EQ(s.trees, kTreesUpToSeven);
+  EXPECT_EQ(s.limb_mismatches, 0u);
+  EXPECT_EQ(s.status_mismatches, 0u);
+  EXPECT_EQ(s.statuses, std::set<std::uint8_t>{0});
+  EXPECT_GT(s.distinct_doubles, 1u);
+}
+
+TEST(ExhaustiveOrder, SubLsbSummandsGiveOneHpResultAndStatus) {
+  // Three summands lie below the HP(3,2) lsb (2^-128): they truncate to
+  // zero on conversion and raise kInexact, which every tree must carry.
+  const std::vector<double> xs = {1.0,    1e-300, -0.75, 3e-45,
+                                  2.5,    -1e-200, 0.125};
+  const Sweep s = sweep_all_trees<3, 2>(xs);
+  EXPECT_EQ(s.trees, kTreesUpToSeven);
+  EXPECT_EQ(s.limb_mismatches, 0u);
+  EXPECT_EQ(s.status_mismatches, 0u);
+  EXPECT_EQ(s.statuses, std::set<std::uint8_t>{static_cast<std::uint8_t>(
+                            HpStatus::kInexact)});
+}
+
+TEST(ExhaustiveOrder, IntermediateOverflowKeepsLimbsButNotStatus) {
+  // HP(2,1) holds [-2^63, 2^63). Two 6e18 summands overflow when they meet
+  // first and do not when a negative one comes between, so kAddOverflow
+  // depends on the tree. The limbs wrap modulo 2^128 and the final sum is
+  // in range, so they agree everywhere. The status does not: it is
+  // order-dependent here (CHANGES.md records the finding), so this corpus
+  // asserts the limbs and bounds the status to {kOk, kAddOverflow}.
+  const std::vector<double> xs = {6e18, 6e18, -6e18, -6e18, 1.0, 0.5, -2.0};
+  const Sweep s = sweep_all_trees<2, 1>(xs);
+  EXPECT_EQ(s.trees, kTreesUpToSeven);
+  EXPECT_EQ(s.limb_mismatches, 0u);
+  for (const std::uint8_t st : s.statuses) {
+    EXPECT_TRUE(st == 0 ||
+                st == static_cast<std::uint8_t>(HpStatus::kAddOverflow))
+        << "status " << static_cast<int>(st);
+  }
 }
 
 }  // namespace

@@ -40,8 +40,8 @@ through engine::ShardSet):
     kernel (bit-identity is its precondition).
 
 fig6 gate (opt-in via --fig6) — runs bench/fig6_mpi_scaling on the
-standard lognormal stream (recursive-doubling, sparse wire, multiplexed
-engine, 1024 simulated ranks) and gates the emitted JSON:
+standard lognormal stream (recursive-doubling, sparse wire, 1024 simulated
+ranks) and gates the emitted JSON:
 
   * hp_invariant must be true (the HP global sum is bit-identical at
     every rank count — the paper's core claim), and
@@ -276,7 +276,7 @@ def gate_engine(fresh, ceiling):
 
 def run_fig6(build_dir, out, n, maxp):
     """Runs the fig6 scaling bench in the gate configuration (lognormal,
-    recursive doubling, sparse wire, multiplexed engine) and returns its
+    recursive doubling, sparse wire) and returns its
     JSON document (None on environment errors). One run: wire byte counts
     are deterministic for a fixed seed."""
     bench = pathlib.Path(build_dir) / "bench" / "fig6_mpi_scaling"
@@ -284,7 +284,7 @@ def run_fig6(build_dir, out, n, maxp):
         print(f"bench_smoke: {bench} not built", file=sys.stderr)
         return None
     cmd = [str(bench), f"--n={n}", f"--maxp={maxp}", "--dist=lognormal",
-           "--algo=rdouble", "--wire=sparse", "--mode=mux", f"--json={out}"]
+           "--algo=rdouble", "--wire=sparse", f"--json={out}"]
     print("+", " ".join(cmd))
     proc = subprocess.run(cmd)
     if proc.returncode != 0:

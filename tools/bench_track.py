@@ -26,7 +26,7 @@ Entry schema (version 1):
   scatter.min_speedup, scatter.streams.{all-positive,all-negative,mixed}
   block.gate_speedup, block.samesign_min_speedup, block.simd
   mpi.wire_ratio  raw/encoded bytes at the largest rank count
-  mpi.max_ranks, mpi.algo, mpi.wire, mpi.mode
+  mpi.max_ranks, mpi.algo, mpi.wire
   engine.overhead_ratio, engine.max_deposits_per_s   (optional section,
                   present when bench/BENCH_engine.json was produced by the
                   run — the ShardSet deposit path vs the direct
@@ -88,7 +88,6 @@ def distill(bench_dir, label, date):
             "max_ranks": top.get("ranks"),
             "algo": mpi.get("algo"),
             "wire": mpi.get("wire"),
-            "mode": mpi.get("mode"),
         },
     }
     # Optional: the engine ablation exists only for runs that exercised the
